@@ -136,6 +136,8 @@ HEADER = "tnr,tpr,value\n"
         "",
         "\n\n",
         "0.25,0.25,0.5\n",
+        HEADER,
+        HEADER + "\n\n",
         HEADER + "0.1,0.1,0.5\n0.3,0.1,0.5\n0.1,0.3,0.5\n",
         HEADER + "0.25,0.5\n",
         HEADER + "0.25,0.25,0.5\n0.75,0.25\n0.25,0.75,0.5\n0.75,0.75,0.5\n",
@@ -148,6 +150,8 @@ HEADER = "tnr,tpr,value\n"
         "empty",
         "blank",
         "no-header",
+        "header-only",
+        "header-and-blank",
         "3-rows",
         "2-fields",
         "2-fields-mid",
