@@ -19,6 +19,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidGridError,
     InvalidRatioError,
+    InvalidToleranceError,
     MetricMismatchError,
     ScheduleMismatchError,
     UnknownMetricError,
@@ -50,6 +51,7 @@ from .sensitivity import (
     GrowthReport,
     RatioSchedule,
     SensitivityCurve,
+    curve_is_agnostic,
     is_agnostic,
     log_growth_check,
     sensitivity,
@@ -80,6 +82,7 @@ __all__ = [
     "InsufficientSamplesError",
     "InvalidGridError",
     "InvalidRatioError",
+    "InvalidToleranceError",
     "MetricDescriptor",
     "MetricMismatchError",
     "MetricSurface",
@@ -91,6 +94,7 @@ __all__ = [
     "UnknownMetricError",
     "UsageError",
     "build_surface",
+    "curve_is_agnostic",
     "default_color_map",
     "evaluate",
     "extract_contours",

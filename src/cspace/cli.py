@@ -35,6 +35,7 @@ from .render import RenderSpec, render_curves_svg, render_surface_pair_svg, rend
 from .sensitivity import (
     DEFAULT_AGNOSTIC_TOL,
     RatioSchedule,
+    curve_is_agnostic,
     log_growth_check,
     sensitivity,
     sensitivity_curve,
@@ -48,6 +49,13 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get("CSPACE_OUT_DIR", "."))
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it; put it straight back.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_text(path: Path, text: str) -> None:
     # Write-to-temp + rename keeps outputs atomic: either the full file
     # appears or nothing does.
@@ -56,6 +64,8 @@ def _write_text(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file as 0600; give it the mode open() would.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -87,7 +97,11 @@ def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     ids = [part.strip() for part in spec.split(",") if part.strip()]
     if not ids:
         raise UsageError("no metrics named")
-    return [get_metric(mid) for mid in ids]
+    metrics = [get_metric(mid) for mid in ids]
+    repeated = sorted({mid for mid in ids if ids.count(mid) > 1})
+    if repeated:
+        raise UsageError(f"metric named more than once: {', '.join(repeated)}")
+    return metrics
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -114,13 +128,13 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol!r}")
     metrics = _parse_metrics(args.metrics)
     schedule = _parse_schedule(args.ratios)
     grid = GridSpec(args.t)
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
+    # Verdicts come before any write, so a bad --tol leaves no files behind.
+    verdicts = [curve_is_agnostic(curve, args.tol) for curve in curves]
 
     if args.format == "json":
         _write_text(out_dir / "sensitivity.json", curves_to_json(curves))
@@ -130,13 +144,13 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     if args.svg:
         _write_text(out_dir / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
 
-    for curve in curves:
+    for curve, agnostic in zip(curves, verdicts):
         distinct_ge1 = len({r for r in curve.ratios if r >= 1.0})
         growth = ""
         if distinct_ge1 >= 3:
             report = log_growth_check(curve)
             growth = " growth=" + ("logarithmic-like" if report.logarithmic_like else "irregular")
-        if all(s <= args.tol for s in curve.values):
+        if agnostic:
             print(f"{curve.metric_id}: agnostic (tol={args.tol:g})")
         else:
             print(f"{curve.metric_id}: sensitive max_s={max(curve.values):.9g}{growth}")

@@ -15,6 +15,7 @@ __all__ = [
     "InsufficientSamplesError",
     "InvalidGridError",
     "InvalidRatioError",
+    "InvalidToleranceError",
     "MetricMismatchError",
     "ScheduleMismatchError",
     "UnknownMetricError",
@@ -32,6 +33,10 @@ class DegenerateClassError(CspaceError, ValueError):
 
 class InvalidRatioError(CspaceError, ValueError):
     """An imbalance ratio (or ratio schedule) is not a finite positive real."""
+
+
+class InvalidToleranceError(CspaceError, ValueError):
+    """An agnostic tolerance is not a positive number (NaN, zero or negative)."""
 
 
 class InvalidGridError(CspaceError, ValueError):

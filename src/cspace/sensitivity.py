@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidRatioError
+from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
 from .surface import DEFAULT_GRID, GridSpec, build_surface
 
@@ -30,6 +30,7 @@ __all__ = [
     "GrowthReport",
     "RatioSchedule",
     "SensitivityCurve",
+    "curve_is_agnostic",
     "is_agnostic",
     "log_growth_check",
     "sensitivity",
@@ -150,11 +151,18 @@ def is_agnostic(
     universally quantified property: a False result is conclusive, a True
     result certifies the schedule alone (up to ``tol``).
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     if schedule is None:
         schedule = DEFAULT_AGNOSTIC_SCHEDULE
-    curve = sensitivity_curve(metric, schedule, grid)
+    return curve_is_agnostic(sensitivity_curve(metric, schedule, grid), tol)
+
+
+def curve_is_agnostic(curve: SensitivityCurve, tol: float = DEFAULT_AGNOSTIC_TOL) -> bool:
+    """True when every sample of ``curve`` is at most ``tol``.
+
+    Raises InvalidToleranceError unless ``tol`` is positive (NaN included).
+    """
+    if not (tol > 0.0):
+        raise InvalidToleranceError(f"agnostic tolerance must be positive, got {tol!r}")
     return all(s <= tol for s in curve.values)
 
 

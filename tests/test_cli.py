@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -89,6 +90,19 @@ def test_no_partial_files_when_target_unwritable(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["blocker.txt"]
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+)
+def test_output_files_get_the_umask_mode(tmp_path, monkeypatch, umask, mode):
+    previous = os.umask(umask)
+    try:
+        code = run(tmp_path, monkeypatch, "surface", "--metric", "f1", "--ratio", "2", "--t", "8")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "surface_f1_r2_t8.csv").stat().st_mode) == mode
+
+
 def test_sensitivity_agnostic_verdicts(tmp_path, monkeypatch, capsys):
     code = run(tmp_path, monkeypatch, "sensitivity", "--metrics", "recall,tss,youden_j",
                "--ratios", "1:1000:10", "--t", "64")
@@ -124,6 +138,35 @@ def test_sensitivity_json_and_svg_outputs(tmp_path, monkeypatch):
     obj = json.loads((tmp_path / "sensitivity.json").read_text())
     assert list(obj) == ["recall", "accuracy"]
     ET.fromstring((tmp_path / "curves.svg").read_text())
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "-inf"])
+def test_sensitivity_invalid_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
+    code = run(tmp_path, monkeypatch, "sensitivity", "--metrics", "recall", "--ratios", "1,2", "--t", "8",
+               f"--tol={tol}")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "tolerance" in captured.err
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensitivity", "--metrics", "recall,f1,f1", "--ratios", "1,2", "--t", "8"),
+        ("compare", "--metrics", "f1,f1", "--ratio", "2", "--t", "8"),
+        ("compare", "--metrics", "f1, recall ,f1,recall", "--ratio", "2", "--t", "8", "--svg", "c.svg"),
+    ],
+    ids=["sensitivity", "compare", "compare-svg"],
+)
+def test_repeated_metric_ids_exit_2(tmp_path, monkeypatch, capsys, argv):
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "f1" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sensitivity_invalid_schedule_exits_2(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,9 @@ from cspace import (
     InsufficientSamplesError,
     InvalidRatioError,
     RatioSchedule,
+    InvalidToleranceError,
     SensitivityCurve,
+    curve_is_agnostic,
     get_metric,
     is_agnostic,
     list_metrics,
@@ -214,6 +216,15 @@ def test_is_agnostic_rejects_bad_tolerance():
         is_agnostic(get_metric("recall"), AGNOSTIC_SCHEDULE, GridSpec(16), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.0, -1.0, float("-inf")])
+def test_curve_is_agnostic_rejects_non_positive_tolerance(tol):
+    curve = sensitivity_curve(get_metric("recall"), RatioSchedule((1.0, 2.0)), GridSpec(8))
+    with pytest.raises(InvalidToleranceError):
+        curve_is_agnostic(curve, tol)
+    with pytest.raises(InvalidToleranceError):
+        is_agnostic(get_metric("recall"), AGNOSTIC_SCHEDULE, GridSpec(8), tol=tol)
+
+
 def test_is_agnostic_default_schedule():
     assert is_agnostic(get_metric("youden_j"), grid=GridSpec(32))
     assert not is_agnostic(get_metric("f1"), grid=GridSpec(32))
@@ -272,3 +283,13 @@ def test_sensitivity_bounded_in_unit_interval(metric_idx, log_r):
     metric = list_metrics()[metric_idx]
     s = sensitivity(metric, 10.0**log_r, GridSpec(24))
     assert 0.0 <= s < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 300), log_r=st.floats(-4.0, 8.0, allow_nan=False))
+def test_accuracy_sensitivity_matches_closed_form(t, log_r):
+    # accuracy(r) - accuracy(1) = (r-1)(tnr-tpr) / (2(1+r)), and the mean of
+    # |tnr - tpr| over the t x t cell centres is (t^2 - 1) / (3t^2) exactly.
+    r = 10.0**log_r
+    expected = abs(r - 1.0) / (2.0 * (1.0 + r)) * (t * t - 1) / (3.0 * t * t)
+    assert abs(sensitivity(get_metric("accuracy"), r, GridSpec(t)) - expected) <= 1e-15
