@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -325,3 +326,36 @@ def test_curves_svg_legend_lists_metrics_in_input_order():
     legend = next(el for el in root.iter(f"{SVG_NS}g") if el.get("id") == "legend")
     labels = [el.text for el in legend.iter(f"{SVG_NS}text")]
     assert labels == ["hss", "accuracy"]
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of SVG outputs that the CLI's default specs never produce: a linear
+# ratio axis, a single-ratio schedule, a custom canvas and level set, and a
+# pair of doolittle panels (several open chains per level).
+GOLDEN_SVG_SHA256 = {
+    "curves-linear-x": "3c432a755b2447ab252ab70b1feb3362f4136007d84b4fe065d4576833fb0d09",
+    "curves-single-ratio": "41f75c93454d2ac112e3a52518368ebaa83591ed8795254954d8b61cdbb4663c",
+    "surface-custom-spec": "f1b9d64560dff9e48c84ea23089491b18f5f8d3bd86246cd70b13c9da8edcb9d",
+    "surface-pair": "b9da56149fbc3226e258040824a591ea3353f44fd2059f3096dc612a1dcc033b",
+}
+
+
+def golden_svg(case: str) -> str:
+    if case == "curves-linear-x":
+        return render_curves_svg(curves_for(["precision", "f1", "accuracy"], RatioSchedule.geometric(1, 64, 2)))
+    if case == "curves-single-ratio":
+        return render_curves_svg(curves_for(["f1", "hss"], RatioSchedule((5.0,))))
+    if case == "surface-custom-spec":
+        surf = build_surface(get_metric("f1"), 49.0, GridSpec(32))
+        return render_surface_svg(surf, RenderSpec(contour_levels=(0.05, 0.3, 0.6, 0.95), width=300, height=260))
+    grid = GridSpec(24)
+    doolittle = get_metric("doolittle")
+    return render_surface_pair_svg(build_surface(doolittle, 1.0, grid), build_surface(doolittle, 7.0, grid))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SVG_SHA256))
+def test_svg_outputs_keep_golden_bytes(case):
+    assert hashlib.sha256(golden_svg(case).encode("utf-8")).hexdigest() == GOLDEN_SVG_SHA256[case]

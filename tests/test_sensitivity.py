@@ -130,6 +130,21 @@ def test_precision_sensitivity_matches_frozen_golden():
     assert s == pytest.approx(GOLDEN_S_PRECISION_49, abs=1e-3)
 
 
+# Exact reprs of the production midpoint values at the default t=256; a change
+# in how |C1 - Cr| is reduced shows here, below any tolerance.
+@pytest.mark.parametrize(
+    "metric_id, ratio, expected",
+    [
+        ("precision", 49.0, "0.45513951530284574"),
+        ("f1", 49.0, "0.40686102735050694"),
+        ("accuracy", 2.0, "0.05555470784505208"),
+        ("precision", 1.0, "0.0"),
+    ],
+)
+def test_sensitivity_keeps_golden_repr_at_t256(metric_id, ratio, expected):
+    assert repr(sensitivity(get_metric(metric_id), ratio, GridSpec(256))) == expected
+
+
 def test_frozen_goldens_match_fresh_oracle():
     assert oracle_sensitivity("precision", 49.0, 1024) == pytest.approx(
         GOLDEN_S_PRECISION_49, abs=1e-12
