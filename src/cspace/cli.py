@@ -23,12 +23,12 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import CspaceError, UsageError
+from .errors import CspaceError, InsufficientSamplesError, UsageError
 from .formats import curve_to_csv, curves_to_json, surface_to_csv, surface_to_json
 from .metrics import MetricDescriptor, get_metric, list_metrics
 from .render import RenderSpec, render_curves_svg, render_surface_pair_svg, render_surface_svg
@@ -45,8 +45,9 @@ from .surface import DEFAULT_RESOLUTION, GridSpec, build_surface
 __all__ = ["main"]
 
 
-def _default_out_dir() -> Path:
-    return Path(os.environ.get("CSPACE_OUT_DIR", "."))
+def _out_dir(args: argparse.Namespace) -> Path:
+    """--out-dir when given, else $CSPACE_OUT_DIR, else the working directory."""
+    return Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
 
 
 def _umask() -> int:
@@ -111,7 +112,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
     else:
-        out = _default_out_dir() / f"surface_{metric.id}_r{surf.ratio:g}_t{args.t}.{args.format}"
+        out = _out_dir(args) / f"surface_{metric.id}_r{surf.ratio:g}_t{args.t}.{args.format}"
     if args.format == "csv":
         text = surface_to_csv(surf)
     elif args.format == "json":
@@ -131,7 +132,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     metrics = _parse_metrics(args.metrics)
     schedule = _parse_schedule(args.ratios)
     grid = GridSpec(args.t)
-    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
+    out_dir = _out_dir(args)
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
     # Verdicts come before any write, so a bad --tol leaves no files behind.
     verdicts = [curve_is_agnostic(curve, args.tol) for curve in curves]
@@ -145,10 +146,11 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         _write_text(out_dir / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
 
     for curve, agnostic in zip(curves, verdicts):
-        distinct_ge1 = len({r for r in curve.ratios if r >= 1.0})
-        growth = ""
-        if distinct_ge1 >= 3:
+        try:
             report = log_growth_check(curve)
+        except InsufficientSamplesError:
+            growth = ""
+        else:
             growth = " growth=" + ("logarithmic-like" if report.logarithmic_like else "irregular")
         if agnostic:
             print(f"{curve.metric_id}: agnostic (tol={args.tol:g})")
@@ -172,13 +174,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.svg:
         schedule = _parse_schedule(args.ratios)
         curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
-        out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
-        _write_text(out_dir / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
+        _write_text(_out_dir(args) / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
     return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
+    out_dir = _out_dir(args)
     grid = GridSpec(args.t)
     schedule = _parse_schedule(args.ratios)
     spec = RenderSpec()
@@ -214,8 +215,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end as one ``error:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cspace",
         description="Metric surfaces and class-imbalance sensitivity analysis.",
         epilog="CSPACE_OUT_DIR sets the default output directory.",
@@ -229,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t", type=int, default=DEFAULT_RESOLUTION, help="grid resolution per axis")
     ps.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     ps.add_argument("--out", help="output file (default: surface_<metric>_r<r>_t<t>.<fmt>)")
-    ps.set_defaults(func=_cmd_surface)
+    ps.set_defaults(func=_cmd_surface, out_dir=None)
 
     pn = sub.add_parser("sensitivity", help="sensitivity curves over a ratio schedule")
     pn.add_argument("--metrics", required=True, help="comma-separated metric ids")
@@ -262,17 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version
+            return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)
-    except CspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

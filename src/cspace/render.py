@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -73,15 +73,12 @@ def default_color_map(value: float) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Contour levels, color mapping and output geometry for SVG emission."""
+    """Contour levels, canvas size and ratio-axis scale for SVG emission."""
 
     contour_levels: tuple[float, ...] = tuple(k / 10 for k in range(11))
-    color_map: Callable[[float], tuple[int, int, int]] = default_color_map
     width: int = 480
     height: int = 420
-    axis_labels: tuple[str, str] = ("tnr", "tpr")
     log_x: bool = False
-    fill_mode: str = "bands"
 
     def __post_init__(self) -> None:
         levels = tuple(float(v) for v in self.contour_levels)
@@ -95,8 +92,6 @@ class RenderSpec:
                 raise ValueError("contour levels must be strictly increasing")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if self.fill_mode not in ("bands", "cells"):
-            raise ValueError(f"fill_mode must be 'bands' or 'cells', got {self.fill_mode!r}")
         object.__setattr__(self, "contour_levels", levels)
 
 
@@ -290,9 +285,6 @@ def _region_polygons(
     y0, y1 = float(ys[0]), float(ys[-1])
     hull = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
-    if not chains:
-        return [hull] if bool(values[0, 0] >= level) else []
-
     closed_polys: list[list[Point]] = []
     open_chains: list[tuple[list[EdgeKey], list[Point]]] = []
     for keys, closed in chains:
@@ -303,8 +295,8 @@ def _region_polygons(
             open_chains.append((keys, pts))
 
     if not open_chains:
-        # Interior loops only; the hull rectangle itself bounds the outermost
-        # region when the lattice corner lies inside it.
+        # Interior loops only (or none); the hull rectangle itself bounds the
+        # outermost region when the lattice corner lies inside it.
         if bool(values[0, 0] >= level):
             return [hull] + closed_polys
         return closed_polys
@@ -412,29 +404,31 @@ def _path_d(polys: Sequence[Sequence[Point]], sx, sy, close: bool) -> str:
     return " ".join(parts)
 
 
-def _frame_and_axes(spec: RenderSpec, px0, py0, pw, ph, x_label: str, y_label: str) -> list[str]:
+def _axes(
+    px0, py0, pw, ph, ticks: Sequence[tuple[str, float, str]], x_label: str, y_label: str
+) -> list[str]:
+    """Plot frame, ticks and axis titles.
+
+    ``ticks`` holds ``("x" | "y", pixel, label)`` entries in emission order.
+    """
     parts = [f'<g id="axes" {_FONT} font-size="11" fill="#000000">']
     parts.append(
         f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
         f'fill="none" stroke="#000000" stroke-width="1"/>'
     )
-    for f in _AXIS_TICKS:
-        tx = px0 + f * pw
-        ty = py0 + (1.0 - f) * ph
-        parts.append(
-            f'<line x1="{_fmt(tx)}" y1="{_fmt(py0 + ph)}" x2="{_fmt(tx)}" y2="{_fmt(py0 + ph + 4)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(tx)}" y="{_fmt(py0 + ph + 16)}" text-anchor="middle">{f:g}</text>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(px0 - 4)}" y1="{_fmt(ty)}" x2="{_fmt(px0)}" y2="{_fmt(ty)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px0 - 7)}" y="{_fmt(ty + 3.5)}" text-anchor="end">{f:g}</text>'
-        )
+    for axis, pos, label in ticks:
+        if axis == "x":
+            parts.append(
+                f'<line x1="{_fmt(pos)}" y1="{_fmt(py0 + ph)}" x2="{_fmt(pos)}" y2="{_fmt(py0 + ph + 4)}" '
+                f'stroke="#000000" stroke-width="1"/>'
+            )
+            parts.append(f'<text x="{_fmt(pos)}" y="{_fmt(py0 + ph + 16)}" text-anchor="middle">{label}</text>')
+        else:
+            parts.append(
+                f'<line x1="{_fmt(px0 - 4)}" y1="{_fmt(pos)}" x2="{_fmt(px0)}" y2="{_fmt(pos)}" '
+                f'stroke="#000000" stroke-width="1"/>'
+            )
+            parts.append(f'<text x="{_fmt(px0 - 7)}" y="{_fmt(pos + 3.5)}" text-anchor="end">{label}</text>')
     parts.append(
         f'<text x="{_fmt(px0 + pw / 2)}" y="{_fmt(py0 + ph + 34)}" text-anchor="middle" '
         f'font-size="12">{escape(x_label)}</text>'
@@ -451,7 +445,6 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     values = surface.values
     xs = surface.tnr_coords
     ys = surface.tpr_coords
-    t = surface.grid.resolution
     levels = spec.contour_levels
 
     px0, py0 = _MARGIN_LEFT, _MARGIN_TOP
@@ -464,48 +457,31 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     def sy(y: float) -> float:
         return py0 + (1.0 - y) * ph
 
-    parts = ["<g>"]
+    topologies = [_level_topology(values, xs, ys, v) for v in levels]
 
-    if spec.fill_mode == "cells":
-        parts.append('<g id="cells" stroke="none">')
-        cw, ch = pw / t, ph / t
-        for i in range(t):
-            for j in range(t):
-                fill = _hex(spec.color_map(float(values[i, j])))
-                parts.append(
-                    f'<rect x="{_fmt(px0 + j * cw)}" y="{_fmt(py0 + (t - 1 - i) * ch)}" '
-                    f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{fill}"/>'
-                )
-        parts.append("</g>")
-        contour_levels = levels
-        topologies = {v: _level_topology(values, xs, ys, v) for v in contour_levels}
-    else:
-        topologies = {v: _level_topology(values, xs, ys, v) for v in levels}
-        parts.append('<g id="bands" stroke="none">')
-        for k, v in enumerate(levels):
-            crossings, chains = topologies[v]
-            polys = _region_polygons(values, xs, ys, v, crossings, chains)
-            if not polys:
-                continue
-            band_value = (v + levels[k + 1]) / 2.0 if k + 1 < len(levels) else v
-            fill = _hex(spec.color_map(band_value))
-            parts.append(
-                f'<path id="band-{k}" fill="{fill}" fill-rule="nonzero" '
-                f'd="{_path_d(polys, sx, sy, close=True)}"/>'
-            )
-        parts.append("</g>")
-        contour_levels = levels
+    parts = ["<g>", '<g id="bands" stroke="none">']
+    for k, (v, (crossings, chains)) in enumerate(zip(levels, topologies)):
+        polys = _region_polygons(values, xs, ys, v, crossings, chains)
+        if not polys:
+            continue
+        band_value = (v + levels[k + 1]) / 2.0 if k + 1 < len(levels) else v
+        fill = _hex(default_color_map(band_value))
+        parts.append(
+            f'<path id="band-{k}" fill="{fill}" fill-rule="nonzero" '
+            f'd="{_path_d(polys, sx, sy, close=True)}"/>'
+        )
+    parts.append("</g>")
 
     parts.append('<g id="contours" fill="none" stroke="#333333" stroke-width="0.8">')
-    for k, v in enumerate(contour_levels):
-        crossings, chains = topologies[v]
+    for k, (crossings, chains) in enumerate(topologies):
         lines = [[crossings[key] for key in keys] for keys, _ in chains]
         if not lines:
             continue
         parts.append(f'<path id="contour-{k}" d="{_path_d(lines, sx, sy, close=False)}"/>')
     parts.append("</g>")
 
-    parts.extend(_frame_and_axes(spec, px0, py0, pw, ph, spec.axis_labels[0], spec.axis_labels[1]))
+    ticks = [(axis, pos, f"{f:g}") for f in _AXIS_TICKS for axis, pos in (("x", sx(f)), ("y", sy(f)))]
+    parts.extend(_axes(px0, py0, pw, ph, ticks, "tnr", "tpr"))
     title = f"{surface.metric_id} (imbalance 1:{surface.ratio:g})"
     parts.append(
         f'<text x="{_fmt(spec.width / 2)}" y="20" text-anchor="middle" {_FONT} '
@@ -577,7 +553,6 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
     def sy(s: float) -> float:
         return py0 + (1.0 - s) * ph
 
-    parts = []
     # x ticks: schedule endpoints plus decades (log) or quarters (linear)
     if spec.log_x:
         tick_values = {schedule[0], schedule[-1]}
@@ -587,36 +562,10 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
     elif span == 0.0:
         xticks = [schedule[0]]
     else:
-        xticks = [schedule[0] + f * (schedule[-1] - schedule[0]) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        xticks = [schedule[0] + f * (schedule[-1] - schedule[0]) for f in _AXIS_TICKS]
 
-    parts.append(f'<g id="axes" {_FONT} font-size="11" fill="#000000">')
-    parts.append(
-        f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
-    for r in xticks:
-        tx = sx(r)
-        parts.append(
-            f'<line x1="{_fmt(tx)}" y1="{_fmt(py0 + ph)}" x2="{_fmt(tx)}" y2="{_fmt(py0 + ph + 4)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(f'<text x="{_fmt(tx)}" y="{_fmt(py0 + ph + 16)}" text-anchor="middle">{r:g}</text>')
-    for f in _AXIS_TICKS:
-        ty = sy(f)
-        parts.append(
-            f'<line x1="{_fmt(px0 - 4)}" y1="{_fmt(ty)}" x2="{_fmt(px0)}" y2="{_fmt(ty)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(f'<text x="{_fmt(px0 - 7)}" y="{_fmt(ty + 3.5)}" text-anchor="end">{f:g}</text>')
-    parts.append(
-        f'<text x="{_fmt(px0 + pw / 2)}" y="{_fmt(py0 + ph + 34)}" text-anchor="middle" '
-        f'font-size="12">imbalance ratio r</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(py0 + ph / 2)}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt(py0 + ph / 2)})">sensitivity</text>'
-    )
-    parts.append("</g>")
+    ticks = [("x", sx(r), f"{r:g}") for r in xticks] + [("y", sy(f), f"{f:g}") for f in _AXIS_TICKS]
+    parts = _axes(px0, py0, pw, ph, ticks, "imbalance ratio r", "sensitivity")
 
     parts.append('<g id="series" fill="none">')
     for idx, curve in enumerate(curves):

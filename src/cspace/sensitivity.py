@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
-from .surface import DEFAULT_GRID, GridSpec, build_surface
+from .surface import DEFAULT_GRID, GridSpec, build_surface, surface_delta
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -117,10 +117,7 @@ class SensitivityCurve:
 
 def sensitivity(metric: MetricDescriptor, ratio: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """Normalised volume between the balanced surface and the ratio-r surface."""
-    r = check_ratio(ratio)
-    base = build_surface(metric, 1.0, grid)
-    other = build_surface(metric, r, grid)
-    return float(np.mean(np.abs(base.values - other.values)))
+    return sensitivity_curve(metric, RatioSchedule((ratio,)), grid).values[0]
 
 
 def sensitivity_curve(
@@ -130,11 +127,11 @@ def sensitivity_curve(
 
     The balanced surface is built once and reused across the schedule.
     """
-    base = build_surface(metric, 1.0, grid).values
+    base = build_surface(metric, 1.0, grid)
     samples: list[tuple[float, float]] = []
     for r in schedule:
-        other = base if r == 1.0 else build_surface(metric, r, grid).values
-        samples.append((r, float(np.mean(np.abs(base - other)))))
+        other = base if r == 1.0 else build_surface(metric, r, grid)
+        samples.append((r, float(np.mean(surface_delta(base, other)))))
     return SensitivityCurve(metric_id=metric.id, samples=tuple(samples), grid=grid)
 
 

@@ -228,6 +228,27 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("surface", "--metric", "f1", "--ratio", "-1e-3"),
+        ("compare", "--metrics", "f1,precision", "--ratio", "2", "--bogus"),
+        (),
+    ],
+    ids=["exponent-negative-ratio", "unknown-flag", "no-subcommand"],
+)
+def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("surface", "--help")])
+def test_help_and_version_exit_0(tmp_path, monkeypatch, capsys, argv):
+    assert run(tmp_path, monkeypatch, *argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_module_entry_point_runs_in_subprocess(tmp_path):
     # A relative PYTHONPATH does not resolve from tmp_path, so point the child at
     # the package this process imported; drop CSPACE_OUT_DIR so the documented

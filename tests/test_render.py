@@ -181,17 +181,6 @@ def test_surface_svg_has_band_fills_and_contours():
     assert bands
 
 
-def test_cells_mode_emits_one_rect_per_grid_cell():
-    t = 12
-    surf = build_surface(get_metric("accuracy"), 2.0, GridSpec(t))
-    doc = render_surface_svg(surf, RenderSpec(fill_mode="cells"))
-    root = ET.fromstring(doc)
-    cells = [el for el in root.iter(f"{SVG_NS}rect") if el.get("height") and el.get("id") is None]
-    grid_rects = [el for el in root.iter(f"{SVG_NS}g") if el.get("id") == "cells"]
-    assert len(grid_rects) == 1
-    assert len(list(grid_rects[0])) == t * t
-
-
 def luminance(hex_color: str) -> float:
     r = int(hex_color[1:3], 16)
     g = int(hex_color[3:5], 16)
@@ -252,8 +241,6 @@ def test_render_spec_validation():
         RenderSpec(contour_levels=())
     with pytest.raises(ValueError):
         RenderSpec(width=0)
-    with pytest.raises(ValueError):
-        RenderSpec(fill_mode="sparkles")
 
 
 # ---------------------------------------------------------------------------
