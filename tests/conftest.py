@@ -92,3 +92,82 @@ def shoelace(points: list[tuple[float, float]]) -> float:
         x2, y2 = points[(k + 1) % n]
         area += x1 * y2 - x2 * y1
     return area / 2.0
+
+
+# Marching squares, one block at a time: the reference for cspace.render's
+# contour extraction.  Keys of the corner mask: bit 0 = bottom-left (i, j),
+# 1 = bottom-right (i, j+1), 2 = top-right (i+1, j+1), 3 = top-left (i+1, j);
+# S/E/N/W name the crossed block edges, each segment keeps the region
+# value >= level on its left.
+_REF_CASES = {
+    1: (("S", "W"),),
+    2: (("E", "S"),),
+    3: (("E", "W"),),
+    4: (("N", "E"),),
+    6: (("N", "S"),),
+    7: (("N", "W"),),
+    8: (("W", "N"),),
+    9: (("S", "N"),),
+    11: (("E", "N"),),
+    12: (("W", "E"),),
+    13: (("S", "E"),),
+    14: (("W", "S"),),
+}
+# Saddles split by whether the block mean is at or above the level.
+_REF_SADDLES = {
+    5: {True: (("S", "E"), ("N", "W")), False: (("S", "W"), ("N", "E"))},
+    10: {True: (("W", "S"), ("E", "N")), False: (("E", "S"), ("W", "N"))},
+}
+
+
+def _reference_level(values, xs, ys, level):
+    """Polylines of one level: open chains, then closed loops, by sorted key.
+
+    Edge keys are ("h", i, j) for the lattice edge (i, j)-(i, j+1) and
+    ("v", i, j) for (i, j)-(i+1, j); node (i, j) sits at (xs[j], ys[i]).
+    """
+    t = len(xs)
+    point = {}
+    nxt = {}
+    for i in range(t - 1):
+        for j in range(t - 1):
+            corners = (values[i][j], values[i][j + 1], values[i + 1][j + 1], values[i + 1][j])
+            mask = sum(1 << bit for bit, v in enumerate(corners) if v >= level)
+            if mask in (0, 15):
+                continue
+            if mask in _REF_SADDLES:
+                mean = (values[i][j] + values[i][j + 1] + values[i + 1][j] + values[i + 1][j + 1]) / 4.0
+                pairs = _REF_SADDLES[mask][bool(mean >= level)]
+            else:
+                pairs = _REF_CASES[mask]
+            keys = {"S": ("h", i, j), "E": ("v", i, j + 1), "N": ("h", i + 1, j), "W": ("v", i, j)}
+            for start, end in pairs:
+                for kind, a, b in (keys[start], keys[end]):
+                    v0 = values[a][b]
+                    if kind == "h":
+                        f = (level - v0) / (values[a][b + 1] - v0)
+                        point[kind, a, b] = (float(xs[b] + f * (xs[b + 1] - xs[b])), float(ys[a]))
+                    else:
+                        f = (level - v0) / (values[a + 1][b] - v0)
+                        point[kind, a, b] = (float(xs[b]), float(ys[a] + f * (ys[a + 1] - ys[a])))
+                nxt[keys[start]] = keys[end]
+    lines = []
+    ends = set(nxt.values())
+    for k in sorted(k for k in nxt if k not in ends):
+        line = [k]
+        while line[-1] in nxt:
+            line.append(nxt.pop(line[-1]))
+        lines.append(tuple(point[key] for key in line))
+    for k in sorted(nxt):
+        if k not in nxt:
+            continue
+        line = [k]
+        while line[-1] != k or len(line) == 1:
+            line.append(nxt.pop(line[-1]))
+        lines.append(tuple(point[key] for key in line))
+    return tuple(lines)
+
+
+def reference_contours(values, xs, ys, levels):
+    """Per-level polylines in the order of ``levels``, one lattice block at a time."""
+    return tuple(_reference_level(values, xs, ys, float(level)) for level in levels)

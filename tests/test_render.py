@@ -5,11 +5,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import bilinear, parse_path_d, shoelace
+from conftest import bilinear, parse_path_d, reference_contours, shoelace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspace import (
     EmptyLevelsError,
     GridSpec,
+    MetricSurface,
     RatioSchedule,
     RenderSpec,
     ScheduleMismatchError,
@@ -103,6 +106,38 @@ def test_polylines_close_or_terminate_on_lattice_hull():
             closed = line[0] == line[-1]
             assert closed or (on_hull(surf, line[0]) and on_hull(surf, line[-1]))
     assert seen_any
+
+
+# Values on a 1/8 lattice force exact ties with the levels, plateaus and
+# saddles whose block mean equals the level.
+quantised_grids = st.integers(2, 12).flatmap(
+    lambda t: st.lists(st.integers(0, 8), min_size=t * t, max_size=t * t).map(
+        lambda eighths: np.array(eighths, dtype=np.float64).reshape(t, t) / 8.0
+    )
+)
+contour_levels = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 8).map(lambda k: k / 8.0), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quantised_grids, levels=contour_levels)
+def test_extract_contours_matches_per_cell_reference(values, levels):
+    t = values.shape[0]
+    surf = MetricSurface("synthetic", 1.0, GridSpec(t), values, (0.0, 1.0))
+    cset = extract_contours(surf, levels)
+    assert cset.levels == tuple(levels)
+    assert cset.polylines == reference_contours(values, surf.tnr_coords, surf.tpr_coords, levels)
+
+
+@pytest.mark.parametrize("levels", [[0.5, 0.2, 0.5], [1.0, 0.0, 1.0, 0.3], [0.3]])
+def test_extract_contours_takes_unsorted_and_repeated_levels(levels):
+    surf = build_surface(get_metric("doolittle"), 3.0, GridSpec(40))
+    cset = extract_contours(surf, levels)
+    assert cset.levels == tuple(levels)
+    assert cset.polylines == reference_contours(surf.values, surf.tnr_coords, surf.tpr_coords, levels)
 
 
 def test_extraction_is_deterministic():
@@ -319,14 +354,20 @@ def test_curves_svg_legend_lists_metrics_in_input_order():
 # Golden bytes
 # ---------------------------------------------------------------------------
 
-# sha256 of SVG outputs that the CLI's default specs never produce: a linear
-# ratio axis, a single-ratio schedule, a custom canvas and level set, and a
-# pair of doolittle panels (several open chains per level).
+# sha256 of SVG outputs: a linear ratio axis, a single-ratio schedule, a
+# custom canvas and level set, a pair of doolittle panels (several open chains
+# per level), and default-spec surface plots at t=256 and t=1024 (tss at r=1
+# has samples exactly on the 0.5 level; the f1 pair is reproduce's fig3).
 GOLDEN_SVG_SHA256 = {
     "curves-linear-x": "3c432a755b2447ab252ab70b1feb3362f4136007d84b4fe065d4576833fb0d09",
     "curves-single-ratio": "41f75c93454d2ac112e3a52518368ebaa83591ed8795254954d8b61cdbb4663c",
     "surface-custom-spec": "f1b9d64560dff9e48c84ea23089491b18f5f8d3bd86246cd70b13c9da8edcb9d",
     "surface-pair": "b9da56149fbc3226e258040824a591ea3353f44fd2059f3096dc612a1dcc033b",
+    "surface-precision-r300-t256": "75299e8736a87f82d582509bf61702cabfda0bec9a18e155dfe222363ce03ef7",
+    "surface-doolittle-r3-t1024": "955b7c26f094c711710efd657e49bbb3545d5ef60ae56cf8b248ff617d69e8ac",
+    "surface-hss-r30-t1024": "abbb5da95baef9ee38d15a376cb7f3b0cb9bf642bba3a24e6c7e71b7ab736971",
+    "surface-tss-r1-t256": "0ecab8c9beb77301d446aa0b1490241b9c2db906f9aa67852b08aca807806a63",
+    "surface-pair-f1-r1-r49-t256": "af9d8b16477301810b0aa977c5ca01794f69cce9335dbe6fb9abc7fb6c7f3985",
 }
 
 
@@ -338,6 +379,12 @@ def golden_svg(case: str) -> str:
     if case == "surface-custom-spec":
         surf = build_surface(get_metric("f1"), 49.0, GridSpec(32))
         return render_surface_svg(surf, RenderSpec(contour_levels=(0.05, 0.3, 0.6, 0.95), width=300, height=260))
+    if case == "surface-pair-f1-r1-r49-t256":
+        f1 = get_metric("f1")
+        return render_surface_pair_svg(build_surface(f1, 1.0, GridSpec(256)), build_surface(f1, 49.0, GridSpec(256)))
+    if case.startswith("surface-") and case != "surface-pair":
+        _, metric_id, ratio, t = case.split("-")
+        return render_surface_svg(build_surface(get_metric(metric_id), float(ratio[1:]), GridSpec(int(t[1:]))))
     grid = GridSpec(24)
     doolittle = get_metric("doolittle")
     return render_surface_pair_svg(build_surface(doolittle, 1.0, grid), build_surface(doolittle, 7.0, grid))
