@@ -5,8 +5,13 @@ iso-levels) overlaid with iso-level polylines; sensitivity curves as a
 multi-series line plot.  All geometry is derived with marching squares on
 the sample lattice:
 
-* each 2x2 block of grid samples is classified by which corners lie at or
-  above the level;
+* one pass over the grid gives each sample its band, the number of levels
+  at or below it, so a sample lies at or above level k exactly when its
+  band exceeds k; only blocks whose four corners span more than one band
+  (the candidate blocks) can be crossed by any level, and all per-level
+  work runs on those alone;
+* each candidate 2x2 block of grid samples is classified by which corners
+  lie at or above the level;
 * crossing points are placed by linear interpolation along lattice edges;
 * ambiguous (saddle) blocks are resolved by comparing the block's mean
   value to the level;
@@ -24,9 +29,10 @@ byte-deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -146,101 +152,129 @@ _SADDLES: dict[int, dict[bool, tuple[tuple[str, str], ...]]] = {
     10: {True: (("W", "S"), ("E", "N")), False: (("E", "S"), ("W", "N"))},
 }
 
-EdgeKey = tuple[str, int, int]
 
+def _segment_table() -> np.ndarray:
+    """_CASES and _SADDLES as one array for lookup by block.
 
-def _chain_segments(
-    segments: list[tuple[EdgeKey, EdgeKey]],
-) -> list[tuple[list[EdgeKey], bool]]:
-    """Join directed segments into maximal chains.
-
-    Every lattice edge hosts at most one crossing, so each edge key starts at
-    most one segment and ends at most one; chains are therefore unique.  Open
-    chains (hull to hull) come first, then closed loops, both in sorted-key
-    order for determinism.
+    Row ``2 * case + (block mean >= level)`` holds up to two (start, end)
+    pairs of edge codes S=0, E=1, N=2, W=3; -1 marks no second segment.
+    Non-saddle cases fill both rows alike.
     """
-    nxt: dict[EdgeKey, EdgeKey] = {}
-    for skey, ekey in segments:
-        nxt[skey] = ekey
-    is_end = set(nxt.values())
-    chains: list[tuple[list[EdgeKey], bool]] = []
-    consumed: set[EdgeKey] = set()
-    for k0 in sorted(k for k in nxt if k not in is_end):
-        path = [k0]
-        k = k0
-        while k in nxt:
-            consumed.add(k)
-            k = nxt[k]
-            path.append(k)
-        chains.append((path, False))
-    for k0 in sorted(nxt):
-        if k0 in consumed:
-            continue
-        path = [k0]
-        consumed.add(k0)
-        k = nxt[k0]
-        while k != k0:
-            consumed.add(k)
-            path.append(k)
-            k = nxt[k]
-        path.append(k0)
-        chains.append((path, True))
-    return chains
+    codes = {"S": 0, "E": 1, "N": 2, "W": 3}
+    table = np.full((32, 2, 2), -1, dtype=np.int8)
+    for case in range(1, 15):
+        for mean_above in (False, True):
+            pairs = _SADDLES[case][mean_above] if case in _SADDLES else _CASES[case]
+            for k, (start, end) in enumerate(pairs):
+                table[2 * case + mean_above, k] = (codes[start], codes[end])
+    return table
+
+
+_SEGMENTS = _segment_table()
+
+
+class _Lines(NamedTuple):
+    """The directed chains of one iso-level.
+
+    Lattice edges carry integer ids on a ``t x t`` lattice: the edge from
+    node (i, j) to (i, j+1) is ``i*(t-1) + j``, the edge from (i, j) to
+    (i+1, j) is ``t*(t-1) + i*t + j``, node (i, j) sitting at (xs[j], ys[i]).
+    ``ids`` holds the crossed edges of every chain back to back, open chains
+    (hull to hull) first and then closed loops, each group in order of its
+    first id; a loop ends with its first edge again.  ``x`` and ``y`` are the
+    crossing points on those edges, and chain c spans
+    ``bounds[c]:bounds[c + 1]``.
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    bounds: list[int]
+    n_open: int
 
 
 def _level_topology(
-    values: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: float
-) -> tuple[dict[EdgeKey, Point], list[tuple[list[EdgeKey], bool]]]:
-    """Crossing points and directed chains for one iso-level.
+    values: np.ndarray, xs: np.ndarray, ys: np.ndarray, levels: Sequence[float]
+) -> list[_Lines]:
+    """Directed chains for each of the strictly increasing ``levels``.
 
-    Edge keys: ("h", i, j) is the lattice edge from node (i, j) to (i, j+1),
-    ("v", i, j) the edge from (i, j) to (i+1, j), with node (i, j) placed at
-    (xs[j], ys[i]).
+    One pass over the grid counts, per sample, the levels at or below it
+    (its band), so ``value >= levels[k]`` exactly when ``band > k``.  Only a
+    block whose corners span more than one band is crossed by any level; the
+    level-by-level work touches those candidate blocks alone.
     """
-    above = values >= level
-    a = above[:-1, :-1] * 1
-    b = above[:-1, 1:] * 2
-    c = above[1:, 1:] * 4
-    d = above[1:, :-1] * 8
-    case = a + b + c + d
-    hot = np.argwhere((case != 0) & (case != 15))
+    t = values.shape[0]
+    n_h = t * (t - 1)  # the number of horizontal edges, and the first vertical id
+    flat = values.ravel()
+    band = np.zeros(flat.shape, dtype=np.min_scalar_type(len(levels)))
+    for level in levels:
+        band += flat >= level
+    grid = band.reshape(t, t)
+    bl, br, tl, tr = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    lo = np.minimum(np.minimum(bl, br), np.minimum(tl, tr))
+    hi = np.maximum(np.maximum(bl, br), np.maximum(tl, tr))
+    # A block's flat index in the (t-1) x (t-1) block grid is its S edge id.
+    cells = np.flatnonzero(lo != hi)
+    lo, hi = lo.ravel()[cells], hi.ravel()[cells]
+    node = cells + cells // (t - 1)  # bottom-left sample of each block
+    corners = node[:, None] + np.array([0, 1, t + 1, t])  # bit order of _CASES
+    corner_bands = band[corners]
+    v00, v01, v10, v11 = flat[node], flat[node + 1], flat[node + t], flat[node + t + 1]
+    mean = (v00 + v01 + v10 + v11) / 4.0
+    west = n_h + node
+    edges = np.stack((cells, west + 1, cells + (t - 1), west), axis=1)  # S, E, N, W
 
-    crossings: dict[EdgeKey, Point] = {}
-    segments: list[tuple[EdgeKey, EdgeKey]] = []
+    out = []
+    for k, level in enumerate(levels):
+        sel = np.flatnonzero((lo <= k) & (k < hi))
+        case = np.packbits(corner_bands[sel] > k, axis=1, bitorder="little")[:, 0]
+        pairs = _SEGMENTS[2 * case.astype(np.intp) + (mean[sel] >= level)]
+        cell_edges = edges[sel]
+        rows = np.arange(len(sel))
+        two = np.flatnonzero(pairs[:, 1, 0] >= 0)
+        starts = np.concatenate((cell_edges[rows, pairs[:, 0, 0]], cell_edges[two, pairs[two, 1, 0]]))
+        ends = np.concatenate((cell_edges[rows, pairs[:, 0, 1]], cell_edges[two, pairs[two, 1, 1]]))
 
-    def crossing(key: EdgeKey) -> None:
-        if key in crossings:
-            return
-        kind, i, j = key
-        v0 = values[i, j]
-        if kind == "h":
-            f = (level - v0) / (values[i, j + 1] - v0)
-            crossings[key] = (float(xs[j] + f * (xs[j + 1] - xs[j])), float(ys[i]))
-        else:
-            f = (level - v0) / (values[i + 1, j] - v0)
-            crossings[key] = (float(xs[j]), float(ys[i] + f * (ys[i + 1] - ys[i])))
+        # Every edge starts at most one segment and ends at most one, so the
+        # chains are unique; walk them in order of their first edge id.
+        nxt = dict(zip(starts.tolist(), ends.tolist()))
+        path: list[int] = []
+        bounds = [0]
+        for k0 in np.setdiff1d(starts, ends).tolist():
+            e = k0
+            path.append(e)
+            while e in nxt:
+                e = nxt.pop(e)
+                path.append(e)
+            bounds.append(len(path))
+        n_open = len(bounds) - 1
+        for k0 in sorted(nxt):
+            if k0 not in nxt:
+                continue
+            path.append(k0)
+            e = nxt.pop(k0)
+            while e != k0:
+                path.append(e)
+                e = nxt.pop(e)
+            path.append(k0)
+            bounds.append(len(path))
 
-    for raw_i, raw_j in hot:
-        i, j = int(raw_i), int(raw_j)
-        k = int(case[i, j])
-        edges: dict[str, EdgeKey] = {
-            "S": ("h", i, j),
-            "E": ("v", i, j + 1),
-            "N": ("h", i + 1, j),
-            "W": ("v", i, j),
-        }
-        if k in _SADDLES:
-            mean = (values[i, j] + values[i, j + 1] + values[i + 1, j] + values[i + 1, j + 1]) / 4.0
-            pairs = _SADDLES[k][bool(mean >= level)]
-        else:
-            pairs = _CASES[k]
-        for sname, ename in pairs:
-            skey, ekey = edges[sname], edges[ename]
-            crossing(skey)
-            crossing(ekey)
-            segments.append((skey, ekey))
-
-    return crossings, _chain_segments(segments)
+        ids = np.array(path, dtype=np.intp)
+        x = np.empty(len(ids))
+        y = np.empty(len(ids))
+        h = ids < n_h
+        row, col = np.divmod(ids[h], t - 1)
+        v0 = values[row, col]
+        f = (level - v0) / (values[row, col + 1] - v0)
+        x[h] = xs[col] + f * (xs[col + 1] - xs[col])
+        y[h] = ys[row]
+        row, col = np.divmod(ids[~h] - n_h, t)
+        v0 = values[row, col]
+        f = (level - v0) / (values[row + 1, col] - v0)
+        x[~h] = xs[col]
+        y[~h] = ys[row] + f * (ys[row + 1] - ys[row])
+        out.append(_Lines(ids, x, y, bounds, n_open))
+    return out
 
 
 def extract_contours(surface: MetricSurface, levels: Sequence[float]) -> ContourSet:
@@ -248,7 +282,8 @@ def extract_contours(surface: MetricSurface, levels: Sequence[float]) -> Contour
 
     Vertices interpolate linearly along lattice edges, so bilinear
     interpolation of the surface at any vertex reproduces its level.
-    Raises EmptyLevelsError for an empty level list.
+    Levels may come in any order and repeat.  Raises EmptyLevelsError for
+    an empty level list.
     """
     lv = tuple(float(v) for v in levels)
     if not lv:
@@ -256,105 +291,100 @@ def extract_contours(surface: MetricSurface, levels: Sequence[float]) -> Contour
     for v in lv:
         if not (math.isfinite(v) and 0.0 <= v <= 1.0):
             raise ValueError(f"contour levels must lie in [0, 1], got {v!r}")
-    xs = surface.tnr_coords
-    ys = surface.tpr_coords
-    per_level = []
-    for v in lv:
-        crossings, chains = _level_topology(surface.values, xs, ys, v)
-        per_level.append(tuple(tuple(crossings[k] for k in keys) for keys, _ in chains))
-    return ContourSet(levels=lv, polylines=tuple(per_level))
+    distinct = sorted(set(lv))
+    polylines = {}
+    for v, lines in zip(distinct, _level_topology(surface.values, surface.tnr_coords, surface.tpr_coords, distinct)):
+        xl, yl = lines.x.tolist(), lines.y.tolist()
+        spans = zip(lines.bounds, lines.bounds[1:])
+        polylines[v] = tuple(tuple(zip(xl[a:b], yl[a:b])) for a, b in spans)
+    return ContourSet(levels=lv, polylines=tuple(polylines[v] for v in lv))
 
 
 def _region_polygons(
-    values: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    level: float,
-    crossings: dict[EdgeKey, Point],
-    chains: list[tuple[list[EdgeKey], bool]],
-) -> list[list[Point]]:
+    values: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: float, lines: _Lines
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Oriented polygons bounding the region { value >= level }.
 
-    Closed chains are kept as-is (counterclockwise around the region,
-    clockwise around holes).  Open chains are completed counterclockwise
-    along the lattice hull, inserting hull corners as they are passed, so
-    the full set of polygons fills correctly under the nonzero rule.
+    Returned like the chains of ``lines``: the points of every polygon back
+    to back, polygon c spanning ``bounds[c]:bounds[c + 1]``.  Closed chains
+    are kept as-is (counterclockwise around the region, clockwise around
+    holes).  Open chains are completed counterclockwise along the lattice
+    hull, inserting hull corners as they are passed, so the full set of
+    polygons fills correctly under the nonzero rule.
     """
     t = values.shape[0]
     x0, x1 = float(xs[0]), float(xs[-1])
     y0, y1 = float(ys[0]), float(ys[-1])
-    hull = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    # Point n + c is hull corner c, counterclockwise from the bottom-left.
+    n = lines.bounds[-1]
+    px = np.concatenate((lines.x, (x0, x1, x1, x0)))
+    py = np.concatenate((lines.y, (y0, y0, y1, y1)))
+    spans = list(zip(lines.bounds, lines.bounds[1:]))
+    closed_polys = [range(a, b - 1) for a, b in spans[lines.n_open :]]
+    polys: list[Sequence[int]]
 
-    closed_polys: list[list[Point]] = []
-    open_chains: list[tuple[list[EdgeKey], list[Point]]] = []
-    for keys, closed in chains:
-        pts = [crossings[k] for k in keys]
-        if closed:
-            closed_polys.append(pts[:-1])
-        else:
-            open_chains.append((keys, pts))
-
-    if not open_chains:
+    if not lines.n_open:
         # Interior loops only (or none); the hull rectangle itself bounds the
         # outermost region when the lattice corner lies inside it.
-        if bool(values[0, 0] >= level):
-            return [hull] + closed_polys
-        return closed_polys
+        polys = [range(n, n + 4)] + closed_polys if bool(values[0, 0] >= level) else closed_polys
+    else:
+        w = x1 - x0
+        h = y1 - y0
+        perim = 2.0 * (w + h)
+        n_h = t * (t - 1)
 
-    w = x1 - x0
-    h = y1 - y0
-    perim = 2.0 * (w + h)
+        def hull_param(c: int) -> float:
+            # Perimeter coordinate of point c, counterclockwise from the
+            # bottom-left corner.
+            e = int(lines.ids[c])
+            x, y = float(px[c]), float(py[c])
+            if e < t - 1:
+                return x - x0
+            if e >= n_h and (e - n_h) % t == t - 1:
+                return w + (y - y0)
+            if n_h - (t - 1) <= e < n_h:
+                return w + h + (x1 - x)
+            if e >= n_h and (e - n_h) % t == 0:
+                return 2.0 * w + h + (y1 - y)
+            raise AssertionError(f"open chain endpoint on edge {e} is not on the lattice hull")
 
-    def hull_param(key: EdgeKey, pt: Point) -> float:
-        # Perimeter coordinate, counterclockwise from the bottom-left corner.
-        kind, i, j = key
-        x, y = pt
-        if kind == "h" and i == 0:
-            return x - x0
-        if kind == "v" and j == t - 1:
-            return w + (y - y0)
-        if kind == "h" and i == t - 1:
-            return w + h + (x1 - x)
-        if kind == "v" and j == 0:
-            return 2.0 * w + h + (y1 - y)
-        raise AssertionError(f"open chain endpoint {key} is not on the lattice hull")
+        corners = ((0.0, n), (w, n + 1), (w + h, n + 2), (2.0 * w + h, n + 3))
+        open_spans = spans[: lines.n_open]
+        starts = [(hull_param(a), idx) for idx, (a, _) in enumerate(open_spans)]
+        used = [False] * len(open_spans)
+        polys = []
 
-    corners = ((0.0, hull[0]), (w, hull[1]), (w + h, hull[2]), (2.0 * w + h, hull[3]))
-    starts = [(hull_param(keys[0], pts[0]), idx) for idx, (keys, pts) in enumerate(open_chains)]
-    used = [False] * len(open_chains)
-    region_polys: list[list[Point]] = []
+        for seed in range(len(open_spans)):
+            if used[seed]:
+                continue
+            poly: list[int] = []
+            cur = seed
+            while True:
+                a, b = open_spans[cur]
+                used[cur] = True
+                poly.extend(range(a, b))
+                ep = hull_param(b - 1)
+                # Next region entry counterclockwise along the hull.
+                best_dist = best_idx = None
+                for sp, idx in starts:
+                    if used[idx] and idx != seed:
+                        continue
+                    dist = (sp - ep) % perim
+                    if best_dist is None or dist < best_dist or (dist == best_dist and idx < best_idx):
+                        best_dist, best_idx = dist, idx
+                assert best_idx is not None
+                passed = sorted(
+                    ((cp - ep) % perim, c) for cp, c in corners if 0.0 < (cp - ep) % perim < best_dist
+                )
+                poly.extend(c for _, c in passed)
+                if best_idx == seed:
+                    break
+                cur = best_idx
+            polys.append(poly)
+        polys += closed_polys
 
-    for seed in range(len(open_chains)):
-        if used[seed]:
-            continue
-        poly: list[Point] = []
-        cur = seed
-        while True:
-            keys, pts = open_chains[cur]
-            used[cur] = True
-            poly.extend(pts)
-            ep = hull_param(keys[-1], pts[-1])
-            # Next region entry counterclockwise along the hull.
-            best_dist = best_idx = None
-            for sp, idx in starts:
-                if used[idx] and idx != seed:
-                    continue
-                dist = (sp - ep) % perim
-                if best_dist is None or dist < best_dist or (dist == best_dist and idx < best_idx):
-                    best_dist, best_idx = dist, idx
-            assert best_idx is not None
-            passed = sorted(
-                ((cp - ep) % perim, cpt)
-                for cp, cpt in corners
-                if 0.0 < (cp - ep) % perim < best_dist
-            )
-            poly.extend(cpt for _, cpt in passed)
-            if best_idx == seed:
-                break
-            cur = best_idx
-        region_polys.append(poly)
-
-    return region_polys + closed_polys
+    idx = np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp)
+    return px[idx], py[idx], list(itertools.accumulate(map(len, polys), initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +419,27 @@ def _hex(rgb: tuple[int, int, int]) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def _path_d(polys: Sequence[Sequence[Point]], sx, sy, close: bool) -> str:
-    parts = []
-    for poly in polys:
-        pts = list(poly)
-        closed = close
-        if len(pts) > 1 and pts[0] == pts[-1]:
-            pts = pts[:-1]
-            closed = True
-        coords = [f"{'M' if k == 0 else 'L'} {_fmt(sx(x))} {_fmt(sy(y))}" for k, (x, y) in enumerate(pts)]
-        if closed:
-            coords.append("Z")
-        parts.append(" ".join(coords))
-    return " ".join(parts)
+def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], frame: tuple, close: bool) -> str:
+    """Path data for the polylines ``x[a:b], y[a:b]`` between successive bounds.
+
+    ``frame`` is the plot's ``(px0, py0, pw, ph)`` in pixels.  A polyline
+    whose first and last points coincide is closed with its last point
+    dropped; ``close`` closes every one.
+    """
+    px0, py0, pw, ph = frame
+    b = np.asarray(bounds)
+    first, last = b[:-1], b[1:] - 1
+    same = (last > first) & (x[first] == x[last]) & (y[first] == y[last])
+    keep = np.ones(len(x), dtype=bool)
+    keep[last[same]] = False
+    coords = np.empty((int(keep.sum()), 2))
+    coords[:, 0] = px0 + x[keep] * pw
+    coords[:, 1] = py0 + (1.0 - y[keep]) * ph
+    template = " ".join(
+        "M %.3f %.3f" + " L %.3f %.3f" * (m - 1) + (" Z" if z else "")
+        for m, z in zip((last - first + 1 - same).tolist(), (same | close).tolist())
+    )
+    return template % tuple(coords.ravel().tolist())
 
 
 def _axes(
@@ -450,6 +488,7 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     px0, py0 = _MARGIN_LEFT, _MARGIN_TOP
     pw = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
     ph = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    frame = (px0, py0, pw, ph)
 
     def sx(x: float) -> float:
         return px0 + x * pw
@@ -457,27 +496,26 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     def sy(y: float) -> float:
         return py0 + (1.0 - y) * ph
 
-    topologies = [_level_topology(values, xs, ys, v) for v in levels]
+    topologies = _level_topology(values, xs, ys, levels)
 
     parts = ["<g>", '<g id="bands" stroke="none">']
-    for k, (v, (crossings, chains)) in enumerate(zip(levels, topologies)):
-        polys = _region_polygons(values, xs, ys, v, crossings, chains)
-        if not polys:
+    for k, (v, lines) in enumerate(zip(levels, topologies)):
+        x, y, bounds = _region_polygons(values, xs, ys, v, lines)
+        if len(bounds) == 1:
             continue
         band_value = (v + levels[k + 1]) / 2.0 if k + 1 < len(levels) else v
         fill = _hex(default_color_map(band_value))
         parts.append(
             f'<path id="band-{k}" fill="{fill}" fill-rule="nonzero" '
-            f'd="{_path_d(polys, sx, sy, close=True)}"/>'
+            f'd="{_path_d(x, y, bounds, frame, close=True)}"/>'
         )
     parts.append("</g>")
 
     parts.append('<g id="contours" fill="none" stroke="#333333" stroke-width="0.8">')
-    for k, (crossings, chains) in enumerate(topologies):
-        lines = [[crossings[key] for key in keys] for keys, _ in chains]
-        if not lines:
+    for k, lines in enumerate(topologies):
+        if len(lines.bounds) == 1:
             continue
-        parts.append(f'<path id="contour-{k}" d="{_path_d(lines, sx, sy, close=False)}"/>')
+        parts.append(f'<path id="contour-{k}" d="{_path_d(lines.x, lines.y, lines.bounds, frame, close=False)}"/>')
     parts.append("</g>")
 
     ticks = [(axis, pos, f"{f:g}") for f in _AXIS_TICKS for axis, pos in (("x", sx(f)), ("y", sy(f)))]

@@ -155,9 +155,9 @@ def test_extraction_is_deterministic():
 def region_area(values, level) -> float:
     t = values.shape[0]
     c = (np.arange(t) + 0.5) / t
-    crossings, chains = _level_topology(values, c, c, level)
-    polys = _region_polygons(values, c, c, level, crossings, chains)
-    return sum(shoelace(p) for p in polys)
+    (lines,) = _level_topology(values, c, c, [level])
+    x, y, bounds = _region_polygons(values, c, c, level, lines)
+    return sum(shoelace(list(zip(x[a:b], y[a:b]))) for a, b in zip(bounds, bounds[1:]))
 
 
 def test_region_polygons_island_hole_and_saddles():
