@@ -422,14 +422,15 @@ def _hex(rgb: tuple[int, int, int]) -> str:
 def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], frame: tuple, close: bool) -> str:
     """Path data for the polylines ``x[a:b], y[a:b]`` between successive bounds.
 
-    ``frame`` is the plot's ``(px0, py0, pw, ph)`` in pixels.  A polyline
-    whose first and last points coincide is closed with its last point
-    dropped; ``close`` closes every one.
+    ``frame`` is the plot's ``(px0, py0, pw, ph)`` in pixels.  Every
+    polyline has at least two points.  One whose first and last points
+    coincide is closed with its last point dropped; ``close`` closes every
+    one.
     """
     px0, py0, pw, ph = frame
     b = np.asarray(bounds)
     first, last = b[:-1], b[1:] - 1
-    same = (last > first) & (x[first] == x[last]) & (y[first] == y[last])
+    same = (x[first] == x[last]) & (y[first] == y[last])
     keep = np.ones(len(x), dtype=bool)
     keep[last[same]] = False
     coords = np.empty((int(keep.sum()), 2))

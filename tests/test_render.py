@@ -357,7 +357,9 @@ def test_curves_svg_legend_lists_metrics_in_input_order():
 # sha256 of SVG outputs: a linear ratio axis, a single-ratio schedule, a
 # custom canvas and level set, a pair of doolittle panels (several open chains
 # per level), and default-spec surface plots at t=256 and t=1024 (tss at r=1
-# has samples exactly on the 0.5 level; the f1 pair is reproduce's fig3).
+# has samples exactly on the 0.5 level; the f1 pair is reproduce's fig3), and
+# two synthetic surfaces with closed loops, saddles and contours that touch
+# samples: a sine lattice, and random values on eighths.
 GOLDEN_SVG_SHA256 = {
     "curves-linear-x": "3c432a755b2447ab252ab70b1feb3362f4136007d84b4fe065d4576833fb0d09",
     "curves-single-ratio": "41f75c93454d2ac112e3a52518368ebaa83591ed8795254954d8b61cdbb4663c",
@@ -368,6 +370,8 @@ GOLDEN_SVG_SHA256 = {
     "surface-hss-r30-t1024": "abbb5da95baef9ee38d15a376cb7f3b0cb9bf642bba3a24e6c7e71b7ab736971",
     "surface-tss-r1-t256": "0ecab8c9beb77301d446aa0b1490241b9c2db906f9aa67852b08aca807806a63",
     "surface-pair-f1-r1-r49-t256": "af9d8b16477301810b0aa977c5ca01794f69cce9335dbe6fb9abc7fb6c7f3985",
+    "synthetic-waves-t40": "a3147960823a97062c1ed3ad2c0f9d9b6cf97b337c8a0e951e4a2b4dbf4e7055",
+    "synthetic-eighths-t12": "00e04355c7aa833c001863c2551ba305c72dcd1a029640f624698a319f0eb227",
 }
 
 
@@ -379,6 +383,14 @@ def golden_svg(case: str) -> str:
     if case == "surface-custom-spec":
         surf = build_surface(get_metric("f1"), 49.0, GridSpec(32))
         return render_surface_svg(surf, RenderSpec(contour_levels=(0.05, 0.3, 0.6, 0.95), width=300, height=260))
+    if case == "synthetic-waves-t40":
+        c = (np.arange(40) + 0.5) / 40
+        x, y = np.meshgrid(c, c)
+        values = 0.5 + 0.45 * np.sin(6 * np.pi * x) * np.sin(6 * np.pi * y)
+        return render_surface_svg(MetricSurface("waves", 1.0, GridSpec(40), values, (0.0, 1.0)))
+    if case == "synthetic-eighths-t12":
+        values = np.random.default_rng(5).integers(0, 9, (12, 12)) / 8.0
+        return render_surface_svg(MetricSurface("eighths", 1.0, GridSpec(12), values, (0.0, 1.0)))
     if case == "surface-pair-f1-r1-r49-t256":
         f1 = get_metric("f1")
         return render_surface_pair_svg(build_surface(f1, 1.0, GridSpec(256)), build_surface(f1, 49.0, GridSpec(256)))
