@@ -12,7 +12,9 @@ range ``start:stop:factor`` (inclusive start; stop included when hit
 exactly).  The environment variable ``CSPACE_OUT_DIR`` sets the default
 output directory.  Exit status is 0 on success and 2 on usage or
 configuration errors; files are written to a temporary name and renamed on
-success, so failed runs leave no partial outputs.
+success, so failed runs leave no partial outputs.  ``--t`` may be at most
+MAX_RESOLUTION, and one curve (schedule length x t^2 cells) at most
+MAX_CURVE_CELLS; both are checked before any surface is built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +46,11 @@ from .sensitivity import (
 from .surface import DEFAULT_RESOLUTION, GridSpec, build_surface
 
 __all__ = ["main"]
+
+# One t=4096 surface is 128 MiB of float64; 2**28 cells is t=1024 over 256
+# ratios, above the paper's scale of about 200.
+MAX_RESOLUTION = 4096
+MAX_CURVE_CELLS = 2**28
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -94,6 +102,17 @@ def _parse_schedule(spec: str) -> RatioSchedule:
     return RatioSchedule(ratios)
 
 
+def _grid(t: int, ratios: int = 1) -> GridSpec:
+    """The grid for ``--t``, once t and one curve's ``ratios * t**2`` cells are within the caps."""
+    if t > MAX_RESOLUTION:
+        raise UsageError(f"--t {t} is above the largest resolution, {MAX_RESOLUTION}")
+    grid = GridSpec(t)
+    cells = ratios * t * t
+    if cells > MAX_CURVE_CELLS:
+        raise UsageError(f"{ratios} ratios at t={t} need {cells} cells per curve, more than {MAX_CURVE_CELLS}")
+    return grid
+
+
 def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     ids = [part.strip() for part in spec.split(",") if part.strip()]
     if not ids:
@@ -107,7 +126,7 @@ def _parse_metrics(spec: str) -> list[MetricDescriptor]:
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     metric = get_metric(args.metric)
-    grid = GridSpec(args.t)
+    grid = _grid(args.t)
     surf = build_surface(metric, args.ratio, grid)
     if args.out:
         out = Path(args.out)
@@ -131,7 +150,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     metrics = _parse_metrics(args.metrics)
     schedule = _parse_schedule(args.ratios)
-    grid = GridSpec(args.t)
+    grid = _grid(args.t, len(schedule))
     out_dir = _out_dir(args)
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
     # Verdicts come before any write, so a bad --tol leaves no files behind.
@@ -163,7 +182,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     metrics = _parse_metrics(args.metrics)
     if len(metrics) < 2:
         raise UsageError("compare needs at least two metrics")
-    grid = GridSpec(args.t)
+    schedule = _parse_schedule(args.ratios) if args.svg else None
+    grid = _grid(args.t, len(schedule) if schedule else 1)
     rows = sorted(
         ((sensitivity(m, args.ratio, grid), m.id) for m in metrics),
         key=lambda pair: (-pair[0], pair[1]),
@@ -171,8 +191,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"rank  metric       s@r={args.ratio:g}")
     for rank, (s, mid) in enumerate(rows, start=1):
         print(f"{rank:>4}  {mid:<11}  {s:.9g}")
-    if args.svg:
-        schedule = _parse_schedule(args.ratios)
+    if schedule:
         curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
         _write_text(_out_dir(args) / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
     return 0
@@ -180,8 +199,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    grid = GridSpec(args.t)
     schedule = _parse_schedule(args.ratios)
+    grid = _grid(args.t, len(schedule))
     spec = RenderSpec()
 
     f1 = get_metric("f1")
@@ -215,11 +234,21 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+# Option values argparse would otherwise take for flags: a minus sign and
+# anything float() reads.  No cspace option looks like a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors end as one ``error:`` line."""
+    """An argument parser whose usage errors end as one ``error:`` line
+    naming the (sub)command, and which reads ``--ratio -1e-3`` as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
-        raise UsageError(message)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,9 +301,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args, extra = _build_parser().parse_known_args(argv)
         except SystemExit as exc:  # --help and --version
             return exc.code if isinstance(exc.code, int) else 2
+        if extra:
+            raise UsageError(f"cspace {args.command}: unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (CspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .surface import DEFAULT_GRID, GridSpec, build_surface, surface_delta
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
     "DEFAULT_AGNOSTIC_TOL",
+    "MAX_SCHEDULE_LENGTH",
     "GrowthReport",
     "RatioSchedule",
     "SensitivityCurve",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_AGNOSTIC_TOL = 1e-12
+
+# The most ratios RatioSchedule.geometric generates; a factor close to 1 is
+# refused from its computed length, before any ratio is made.
+MAX_SCHEDULE_LENGTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,12 @@ class RatioSchedule:
 
     @classmethod
     def geometric(cls, start: float, stop: float, factor: float) -> "RatioSchedule":
-        """Ratios start * factor**k while <= stop (stop included if hit exactly)."""
+        """Ratios start * factor**k while <= stop (stop included if hit exactly).
+
+        Raises InvalidRatioError when the schedule would hold more than
+        MAX_SCHEDULE_LENGTH ratios or a power of the factor leaves the float
+        range.
+        """
         lo = check_ratio(start)
         hi = check_ratio(stop)
         f = float(factor)
@@ -65,11 +75,25 @@ class RatioSchedule:
             raise InvalidRatioError(f"geometric factor must be > 1, got {factor!r}")
         if hi < lo:
             raise InvalidRatioError(f"schedule stop {stop!r} must be >= start {start!r}")
+        bound = hi * (1.0 + 1e-12)
+        # log(bound / lo) / log(f) + 1, without forming bound / lo, which can
+        # overflow; exact up to rounding in the last place.
+        length = math.floor((math.log(hi) - math.log(lo) + math.log1p(1e-12)) / math.log(f)) + 1
+        if length > MAX_SCHEDULE_LENGTH:
+            raise InvalidRatioError(
+                f"geometric schedule {start!r}:{stop!r}:{factor!r} has {length} ratios, "
+                f"more than {MAX_SCHEDULE_LENGTH}"
+            )
         out: list[float] = []
         k = 0
         while True:
-            v = lo * f**k
-            if v > hi * (1.0 + 1e-12):
+            try:
+                v = lo * f**k
+            except OverflowError:
+                raise InvalidRatioError(
+                    f"geometric schedule {start!r}:{stop!r}:{factor!r} leaves the float range"
+                ) from None
+            if v > bound:
                 break
             out.append(v)
             k += 1

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import cspace
-from cspace import GridSpec, build_surface, get_metric
+from cspace import GridSpec, UsageError, build_surface, get_metric
+from cspace import cli
 from cspace.cli import main
 from cspace.formats import surface_values_from_csv
 
@@ -69,10 +70,12 @@ def test_unknown_metric_exits_2_and_names_it(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("ratio", ["0", "-3", "nan", "inf"])
+@pytest.mark.parametrize("ratio", ["0", "-3", "nan", "inf", "-1e-3", "-1E+3", "-.5e1", "-inf"])
 def test_invalid_ratio_exits_2(tmp_path, monkeypatch, capsys, ratio):
+    # Exponent forms and -inf must reach the ratio check, not be read as flags.
     assert run(tmp_path, monkeypatch, "surface", "--metric", "f1", "--ratio", ratio) == 2
-    assert "ratio" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "finite positive real" in err[0], err
 
 
 def test_invalid_resolution_exits_2(tmp_path, monkeypatch, capsys):
@@ -241,6 +244,54 @@ def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, a
     assert run(tmp_path, monkeypatch, *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("surface", "--ratio", "2"), "error: cspace surface: the following arguments are required: --metric"),
+        (("surface", "--metric", "f1", "--ratio", "2", "--bogus"), "error: cspace surface: unrecognized arguments: --bogus"),
+        (("compare", "--metrics", "f1,tss", "--ratio", "2", "x"), "error: cspace compare: unrecognized arguments: x"),
+        (("sensitivity", "--metrics", "f1"), "error: cspace sensitivity: the following arguments are required: --ratios"),
+    ],
+    ids=["missing-metric", "unknown-flag", "extra-argument", "missing-ratios"],
+)
+def test_usage_errors_name_the_subcommand(tmp_path, monkeypatch, capsys, argv, message):
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_resource_caps_admit_benchmark_and_paper_scale():
+    for t, ratios in [(1024, 200), (1024, 256), (1024, 16), (256, 120), (256, 4096), (4096, 1), (2, 10_000)]:
+        assert cli._grid(t, ratios) == GridSpec(t)
+
+
+@pytest.mark.parametrize("t, ratios", [(4097, 1), (100_000, 1), (1024, 257), (256, 4097), (2, 2**26 + 1)])
+def test_resource_caps_reject_from_the_estimate(t, ratios):
+    # Only the estimate is checked here: nothing of this size is allocated.
+    with pytest.raises(UsageError):
+        cli._grid(t, ratios)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("surface", "--metric", "f1", "--ratio", "2", "--t", "17"),
+        ("sensitivity", "--metrics", "f1", "--ratios", "1:64:2", "--t", "8"),
+        ("compare", "--metrics", "f1,tss", "--ratio", "2", "--t", "8", "--svg", "c.svg", "--ratios", "1:64:2"),
+        ("reproduce", "--t", "8"),
+        ("sensitivity", "--metrics", "f1", "--ratios", "1:2:1.0000001", "--t", "2"),
+    ],
+    ids=["t-above-cap", "curve-cells", "compare-curve-cells", "reproduce-curve-cells", "schedule-length"],
+)
+def test_over_the_caps_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    # Caps lowered so that the commands stay small; 7 ratios at t=8 is 448 cells.
+    monkeypatch.setattr(cli, "MAX_RESOLUTION", 16)
+    monkeypatch.setattr(cli, "MAX_CURVE_CELLS", 6 * 64)
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("surface", "--help")])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from cspace import (
     sensitivity,
     sensitivity_curve,
 )
+
+# The package re-exports the function sensitivity under the module's name.
+sensitivity_module = importlib.import_module("cspace.sensitivity")
 
 # Frozen output of the independent 1024^2 midpoint oracle (see
 # test_frozen_goldens_match_fresh_oracle, which recomputes them from scratch).
@@ -105,6 +110,23 @@ def test_geometric_schedule_validation():
         RatioSchedule.geometric(1, 10, 1.0)
     with pytest.raises(InvalidRatioError):
         RatioSchedule.geometric(0, 10, 2)
+
+
+def test_geometric_schedule_length_is_counted_before_generating():
+    # 1:2:1.0000001 holds 6931473 ratios; the count alone refuses it.
+    with pytest.raises(InvalidRatioError, match="6931473 ratios"):
+        RatioSchedule.geometric(1, 2, 1.0000001)
+    # 2.0**1024 overflows before 1e308 is passed
+    with pytest.raises(InvalidRatioError, match="float range"):
+        RatioSchedule.geometric(1, 1e308, 2)
+    assert len(RatioSchedule.geometric(1, 1e4, 1.05)) == 189
+
+
+def test_geometric_schedule_cap_holds_at_its_edge(monkeypatch):
+    monkeypatch.setattr(sensitivity_module, "MAX_SCHEDULE_LENGTH", 11)
+    assert len(RatioSchedule.geometric(1, 1024, 2)) == 11
+    with pytest.raises(InvalidRatioError, match="12 ratios"):
+        RatioSchedule.geometric(1, 2048, 2)
 
 
 # ---------------------------------------------------------------------------
