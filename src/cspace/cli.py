@@ -103,13 +103,16 @@ def _parse_schedule(spec: str) -> RatioSchedule:
 
 
 def _grid(t: int, ratios: int = 1) -> GridSpec:
-    """The grid for ``--t``, once t and one curve's ``ratios * t**2`` cells are within the caps."""
+    """The grid for ``--t``, once t and the ``ratios * t**2`` cells of one
+    curve are within the caps."""
     if t > MAX_RESOLUTION:
         raise UsageError(f"--t {t} is above the largest resolution, {MAX_RESOLUTION}")
     grid = GridSpec(t)
     cells = ratios * t * t
     if cells > MAX_CURVE_CELLS:
-        raise UsageError(f"{ratios} ratios at t={t} need {cells} cells per curve, more than {MAX_CURVE_CELLS}")
+        raise UsageError(
+            f"{ratios} ratios at t={t} need {cells} cells per curve, more than {MAX_CURVE_CELLS}"
+        )
     return grid
 
 
@@ -234,9 +237,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-# Option values argparse would otherwise take for flags: a minus sign and
-# anything float() reads.  No cspace option looks like a number.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+# Option values that argparse (through its private negative-number matcher,
+# which knows only -3 and -.5) would take for flags: a minus sign before a
+# decimal or exponent literal, inf or nan.  No cspace option looks like one.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 class _Parser(argparse.ArgumentParser):

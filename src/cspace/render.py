@@ -292,8 +292,9 @@ def extract_contours(surface: MetricSurface, levels: Sequence[float]) -> Contour
         if not (math.isfinite(v) and 0.0 <= v <= 1.0):
             raise ValueError(f"contour levels must lie in [0, 1], got {v!r}")
     distinct = sorted(set(lv))
+    topologies = _level_topology(surface.values, surface.tnr_coords, surface.tpr_coords, distinct)
     polylines = {}
-    for v, lines in zip(distinct, _level_topology(surface.values, surface.tnr_coords, surface.tpr_coords, distinct)):
+    for v, lines in zip(distinct, topologies):
         xl, yl = lines.x.tolist(), lines.y.tolist()
         spans = zip(lines.bounds, lines.bounds[1:])
         polylines[v] = tuple(tuple(zip(xl[a:b], yl[a:b])) for a, b in spans)
@@ -516,7 +517,8 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     for k, lines in enumerate(topologies):
         if len(lines.bounds) == 1:
             continue
-        parts.append(f'<path id="contour-{k}" d="{_path_d(lines.x, lines.y, lines.bounds, frame, close=False)}"/>')
+        d = _path_d(lines.x, lines.y, lines.bounds, frame, close=False)
+        parts.append(f'<path id="contour-{k}" d="{d}"/>')
     parts.append("</g>")
 
     ticks = [(axis, pos, f"{f:g}") for f in _AXIS_TICKS for axis, pos in (("x", sx(f)), ("y", sy(f)))]

@@ -27,8 +27,8 @@ from .surface import DEFAULT_GRID, GridSpec, build_surface, surface_delta
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
     "DEFAULT_AGNOSTIC_TOL",
-    "MAX_SCHEDULE_LENGTH",
     "GrowthReport",
+    "MAX_SCHEDULE_LENGTH",
     "RatioSchedule",
     "SensitivityCurve",
     "curve_is_agnostic",
@@ -76,8 +76,9 @@ class RatioSchedule:
         if hi < lo:
             raise InvalidRatioError(f"schedule stop {stop!r} must be >= start {start!r}")
         bound = hi * (1.0 + 1e-12)
-        # log(bound / lo) / log(f) + 1, without forming bound / lo, which can
-        # overflow; exact up to rounding in the last place.
+        # log(bound / lo) / log(f) + 1 without forming bound / lo, which can
+        # overflow.  Rounding can put it one off the loop's count when a
+        # ratio lands within an ulp of the bound.
         length = math.floor((math.log(hi) - math.log(lo) + math.log1p(1e-12)) / math.log(f)) + 1
         if length > MAX_SCHEDULE_LENGTH:
             raise InvalidRatioError(
