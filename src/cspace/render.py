@@ -434,9 +434,7 @@ def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], frame: tuple, c
     same = (x[first] == x[last]) & (y[first] == y[last])
     keep = np.ones(len(x), dtype=bool)
     keep[last[same]] = False
-    coords = np.empty((int(keep.sum()), 2))
-    coords[:, 0] = px0 + x[keep] * pw
-    coords[:, 1] = py0 + (1.0 - y[keep]) * ph
+    coords = np.column_stack((px0 + x[keep] * pw, py0 + (1.0 - y[keep]) * ph))
     template = " ".join(
         "M %.3f %.3f" + " L %.3f %.3f" * (m - 1) + (" Z" if z else "")
         for m, z in zip((last - first + 1 - same).tolist(), (same | close).tolist())
