@@ -219,8 +219,7 @@ def _level_topology(
     node = cells + cells // (t - 1)  # bottom-left sample of each block
     corners = node[:, None] + np.array([0, 1, t + 1, t])  # bit order of _CASES
     corner_bands = band[corners]
-    v00, v01, v10, v11 = flat[node], flat[node + 1], flat[node + t], flat[node + t + 1]
-    mean = (v00 + v01 + v10 + v11) / 4.0
+    mean = (flat[node] + flat[node + 1] + flat[node + t] + flat[node + t + 1]) / 4.0
     west = n_h + node
     edges = np.stack((cells, west + 1, cells + (t - 1), west), axis=1)  # S, E, N, W
 
@@ -230,10 +229,14 @@ def _level_topology(
         case = np.packbits(corner_bands[sel] > k, axis=1, bitorder="little")[:, 0]
         pairs = _SEGMENTS[2 * case.astype(np.intp) + (mean[sel] >= level)]
         cell_edges = edges[sel]
-        rows = np.arange(len(sel))
-        two = np.flatnonzero(pairs[:, 1, 0] >= 0)
-        starts = np.concatenate((cell_edges[rows, pairs[:, 0, 0]], cell_edges[two, pairs[two, 1, 0]]))
-        ends = np.concatenate((cell_edges[rows, pairs[:, 0, 1]], cell_edges[two, pairs[two, 1, 1]]))
+        two = pairs[:, 1, 0] >= 0  # saddles: a second segment
+        segments = np.concatenate(
+            (
+                np.take_along_axis(cell_edges, pairs[:, 0], axis=1),
+                np.take_along_axis(cell_edges[two], pairs[two, 1], axis=1),
+            )
+        )
+        starts, ends = segments[:, 0], segments[:, 1]
 
         # Every edge starts at most one segment and ends at most one, so the
         # chains are unique; walk them in order of their first edge id.
