@@ -240,10 +240,11 @@ def _level_topology(
 
         # Every edge starts at most one segment and ends at most one, so the
         # chains are unique; walk them in order of their first edge id.
-        nxt = dict(zip(starts.tolist(), ends.tolist()))
+        ends_list = ends.tolist()
+        nxt = dict(zip(starts.tolist(), ends_list))
         path: list[int] = []
         bounds = [0]
-        for k0 in np.setdiff1d(starts, ends).tolist():
+        for k0 in sorted(nxt.keys() - set(ends_list)):
             e = k0
             path.append(e)
             while e in nxt:
