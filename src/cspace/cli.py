@@ -38,9 +38,11 @@ from .render import RenderSpec, render_curves_svg, render_surface_pair_svg, rend
 from .sensitivity import (
     DEFAULT_AGNOSTIC_TOL,
     RatioSchedule,
+    SensitivityCurve,
+    _curve,
     curve_is_agnostic,
     log_growth_check,
-    sensitivity,
+    sensitivity,  # noqa: F401  (not called here; perfbench/tracing.py wraps cli.sensitivity)
     sensitivity_curve,
 )
 from .surface import DEFAULT_RESOLUTION, GridSpec, build_surface
@@ -187,16 +189,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("compare needs at least two metrics")
     schedule = _parse_schedule(args.ratios) if args.svg else None
     grid = _grid(args.t, len(schedule) if schedule else 1)
+    # One curve per metric over the ranking ratio and any plotted schedule,
+    # so each balanced surface is built once.
+    plotted = set(schedule.ratios) if schedule else set()
+    both = RatioSchedule(tuple(sorted(plotted | {args.ratio})))
+    curves = [sensitivity_curve(m, both, grid) for m in metrics]
     rows = sorted(
-        ((sensitivity(m, args.ratio, grid), m.id) for m in metrics),
+        ((dict(c.samples)[args.ratio], c.metric_id) for c in curves),
         key=lambda pair: (-pair[0], pair[1]),
     )
     print(f"rank  metric       s@r={args.ratio:g}")
     for rank, (s, mid) in enumerate(rows, start=1):
         print(f"{rank:>4}  {mid:<11}  {s:.9g}")
     if schedule:
-        curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
-        _write_text(_out_dir(args) / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
+        shown = [
+            SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
+            for c in curves
+        ]
+        _write_text(_out_dir(args) / args.svg, render_curves_svg(shown, RenderSpec(log_x=args.log_x)))
     return 0
 
 
@@ -210,7 +220,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     balanced = build_surface(f1, 1.0, grid)
     skewed = build_surface(f1, 49.0, grid)
     core = [m for m in list_metrics() if not m.extension]
-    curves = [sensitivity_curve(m, schedule, grid) for m in core]
+    # f1's curve reuses the balanced surface of the panels.
+    curves = [
+        _curve(m, schedule, grid, balanced.values) if m == f1 else sensitivity_curve(m, schedule, grid)
+        for m in core
+    ]
 
     files = {
         "fig2_f1_contour_r1.svg": render_surface_svg(balanced, spec),

@@ -63,7 +63,15 @@ __all__ = [
 
 # Evaluation rule: (tpr, tnr, ratio, undefined_policy) -> raw metric value.
 # tpr/tnr may be float64 scalars or broadcastable arrays; ratio is a scalar.
+# A returned array that owns its data belongs to the caller, which may
+# rescale it in place, so a rule must not keep a reference to its result.
 MetricFn = Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
+
+# Above this ratio hss and doolittle switch to forms divided through by
+# powers of r, whose terms stay O(1); their plain forms overflow from about
+# 1e103 (doolittle) and 9e307 (hss).  Below it the plain forms are exact to
+# the bit and cost nothing extra.
+_LARGE_RATIO = 1e100
 
 
 def check_ratio(ratio: float) -> float:
@@ -210,6 +218,9 @@ _youden_j = _tss
 
 def _hss(tpr, tnr, r, policy):
     # Denominator is strictly positive on [0,1]^2 for every r > 0.
+    if r > _LARGE_RATIO:
+        # Numerator and denominator divided by r.
+        return 2.0 * (tpr + tnr - 1.0) / ((1.0 - tpr) / r + tnr + tpr + r * (1.0 - tnr))
     num = 2.0 * r * (tpr + tnr - 1.0)
     den = (1.0 - tpr) + r * tnr + r * tpr + (r * r) * (1.0 - tnr)
     return num / den
@@ -223,6 +234,12 @@ def _gilbert(tpr, tnr, r, policy):
 def _doolittle(tpr, tnr, r, policy):
     # (tp*tn - fn*fp)^2 / (p*n*p'*n'); 0/0 at the all-negative and
     # all-positive corners.
+    if r > _LARGE_RATIO:
+        # tp*tn - fn*fp = r*(tpr + tnr - 1); numerator and denominator
+        # divided by r^2.
+        num = (tpr + tnr - 1.0) ** 2 / r
+        den = (tpr / r + (1.0 - tnr)) * ((1.0 - tpr) / r + tnr)
+        return _where_defined(num, den, policy)
     tp, fn, tn, fp = tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr)
     num = (tp * tn - fn * fp) ** 2
     den = r * (tp + fp) * (fn + tn)
@@ -235,7 +252,9 @@ class MetricDescriptor:
 
     ``theoretical_range`` is the closed interval of raw values the metric can
     attain over the open domain; surfaces rescale against it.  ``extension``
-    marks entries beyond the core seven.
+    marks entries beyond the core seven.  ``ratio_free`` declares that ``fn``
+    never reads the ratio, so every surface of the metric is its balanced
+    one and its sensitivity is exactly 0 without evaluating anything.
     """
 
     id: str
@@ -243,6 +262,7 @@ class MetricDescriptor:
     fn: MetricFn = field(repr=False, compare=False)
     undefined_policy: float = 0.0
     extension: bool = False
+    ratio_free: bool = False
 
     def __post_init__(self) -> None:
         lo, hi = self.theoretical_range
@@ -253,11 +273,11 @@ class MetricDescriptor:
 _CATALOG: tuple[MetricDescriptor, ...] = (
     MetricDescriptor("accuracy", (0.0, 1.0), _accuracy),
     MetricDescriptor("precision", (0.0, 1.0), _precision),
-    MetricDescriptor("recall", (0.0, 1.0), _recall),
+    MetricDescriptor("recall", (0.0, 1.0), _recall, ratio_free=True),
     MetricDescriptor("f1", (0.0, 1.0), _make_fbeta(1.0)),
-    MetricDescriptor("tss", (-1.0, 1.0), _tss),
+    MetricDescriptor("tss", (-1.0, 1.0), _tss, ratio_free=True),
     MetricDescriptor("hss", (-1.0, 1.0), _hss),
-    MetricDescriptor("youden_j", (-1.0, 1.0), _youden_j),
+    MetricDescriptor("youden_j", (-1.0, 1.0), _youden_j, ratio_free=True),
     MetricDescriptor("gilbert", (0.0, 1.0), _gilbert, extension=True),
     MetricDescriptor("doolittle", (0.0, 1.0), _doolittle, extension=True),
 )

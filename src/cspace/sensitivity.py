@@ -10,19 +10,23 @@ The 1/t^2 cell-area factor keeps the measure independent of the grid
 resolution and bounded by the unit volume of the rescaled value space, so
 s always lies in [0, 1).  A metric is *imbalance agnostic* when s vanishes
 for every positive ratio; recall, tss and youden_j are (their closed forms
-do not mention r at all).
+do not mention r at all, and their descriptors declare it as ``ratio_free``,
+so their curves are exactly 0 without any evaluation).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
-from .surface import DEFAULT_GRID, GridSpec, build_surface, surface_delta
+# build_surface is not called here; it stays a name of this module because
+# perfbench/tracing.py wraps cspace.sensitivity.build_surface.
+from .surface import DEFAULT_GRID, GridSpec, _distance, _rescaled, build_surface  # noqa: F401
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -45,6 +49,18 @@ DEFAULT_AGNOSTIC_TOL = 1e-12
 MAX_SCHEDULE_LENGTH = 10_000
 
 
+def _scaled_power(x: float, f: float, k: int) -> float:
+    """``x * f**k``, or ``inf`` when that is beyond the float range.
+
+    Where ``f**k`` alone overflows, the power is applied in halves, so a
+    small ``x`` still reaches the finite values above it.
+    """
+    try:
+        return x * f**k
+    except OverflowError:
+        return _scaled_power(_scaled_power(x, f, k // 2), f, k - k // 2)
+
+
 @dataclass(frozen=True)
 class RatioSchedule:
     """A strictly increasing list of positive imbalance ratios."""
@@ -65,8 +81,7 @@ class RatioSchedule:
         """Ratios start * factor**k while <= stop (stop included if hit exactly).
 
         Raises InvalidRatioError when the schedule would hold more than
-        MAX_SCHEDULE_LENGTH ratios or a power of the factor leaves the float
-        range.
+        MAX_SCHEDULE_LENGTH ratios.
         """
         lo = check_ratio(start)
         hi = check_ratio(stop)
@@ -75,7 +90,8 @@ class RatioSchedule:
             raise InvalidRatioError(f"geometric factor must be > 1, got {factor!r}")
         if hi < lo:
             raise InvalidRatioError(f"schedule stop {stop!r} must be >= start {start!r}")
-        bound = hi * (1.0 + 1e-12)
+        # Capped so that a ratio beyond the float range (inf) always ends the loop.
+        bound = min(hi * (1.0 + 1e-12), sys.float_info.max)
         # log(bound / lo) / log(f) + 1 without forming bound / lo, which can
         # overflow.  Rounding can put it one off the loop's count when a
         # ratio lands within an ulp of the bound.
@@ -87,15 +103,7 @@ class RatioSchedule:
             )
         out: list[float] = []
         k = 0
-        while True:
-            try:
-                v = lo * f**k
-            except OverflowError:
-                raise InvalidRatioError(
-                    f"geometric schedule {start!r}:{stop!r}:{factor!r} leaves the float range"
-                ) from None
-            if v > bound:
-                break
+        while (v := _scaled_power(lo, f, k)) <= bound:
             out.append(v)
             k += 1
         return cls(tuple(out))
@@ -150,14 +158,35 @@ def sensitivity_curve(
 ) -> SensitivityCurve:
     """One sensitivity sample per schedule entry.
 
-    The balanced surface is built once and reused across the schedule.
+    The balanced surface is built once and reused across the schedule; a
+    ratio-free metric gives exactly 0 at every ratio without evaluation.
     """
-    base = build_surface(metric, 1.0, grid)
-    samples: list[tuple[float, float]] = []
-    for r in schedule:
-        other = base if r == 1.0 else build_surface(metric, r, grid)
-        samples.append((r, float(np.mean(surface_delta(base, other)))))
-    return SensitivityCurve(metric_id=metric.id, samples=tuple(samples), grid=grid)
+    return _curve(metric, schedule, grid, None)
+
+
+def _curve(
+    metric: MetricDescriptor, schedule: RatioSchedule, grid: GridSpec, balanced: np.ndarray | None
+) -> SensitivityCurve:
+    """``sensitivity_curve``, against ``balanced`` as the metric's values at
+    r = 1 on ``grid`` when the caller has them already."""
+    if metric.ratio_free:
+        samples = tuple((r, 0.0) for r in schedule)
+    else:
+        if balanced is None:
+            balanced = _rescaled(metric, 1.0, grid)
+        samples = tuple(
+            (r, 0.0 if r == 1.0 else _mean_distance(balanced, metric, r, grid)) for r in schedule
+        )
+    return SensitivityCurve(metric_id=metric.id, samples=samples, grid=grid)
+
+
+def _mean_distance(balanced: np.ndarray, metric: MetricDescriptor, r: float, grid: GridSpec) -> float:
+    """mean |C1 - Cr|, reduced in the one t x t array that holds Cr.
+
+    The array is freed on return, before the next ratio is evaluated.
+    """
+    values = _rescaled(metric, r, grid)
+    return float(np.mean(_distance(balanced, values, out=values)))
 
 
 def is_agnostic(

@@ -100,19 +100,49 @@ def build_surface(
     Raises InvalidRatioError for a non-finite or non-positive ratio.
     """
     r = check_ratio(ratio)
-    t = grid.resolution
-    c = grid.centers()
-    raw = metric.fn(c[:, None], c[None, :], r, metric.undefined_policy)
-    raw = np.broadcast_to(np.asarray(raw, dtype=np.float64), (t, t))
-    lo, hi = metric.theoretical_range
-    rescaled = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
     return MetricSurface(
         metric_id=metric.id,
         ratio=r,
         grid=grid,
-        values=rescaled,
+        values=_rescaled(metric, r, grid),
         rescale_interval=metric.theoretical_range,
     )
+
+
+def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
+    """``clip((raw - lo) / (hi - lo), 0, 1)`` over the grid at ratio ``r``,
+    as a fresh writeable C-contiguous t x t array.
+
+    The metric's result is rescaled in place when it is such an array of its
+    own; otherwise the rescaling makes one.  Steps that are the identity for
+    a ``[0, 1]`` range are skipped, which leaves every bit as it was.
+    """
+    t = grid.resolution
+    c = grid.centers()
+    raw = metric.fn(c[:, None], c[None, :], r, metric.undefined_policy)
+    lo, hi = metric.theoretical_range
+    if (
+        isinstance(raw, np.ndarray)
+        and raw.dtype == np.float64
+        and raw.shape == (t, t)
+        and raw.flags.c_contiguous
+        and raw.flags.writeable
+        and raw.flags.owndata
+    ):
+        out = raw
+    else:
+        out = np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), (t, t)))
+    if lo != 0.0:
+        np.subtract(out, lo, out=out)
+    if hi - lo != 1.0:
+        np.divide(out, hi - lo, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Element-wise ``|a - b|``, written into ``out`` when given."""
+    diff = np.subtract(a, b, out=out)
+    return np.abs(diff, out=diff)
 
 
 def surface_delta(a: MetricSurface, b: MetricSurface) -> np.ndarray:
@@ -129,4 +159,4 @@ def surface_delta(a: MetricSurface, b: MetricSurface) -> np.ndarray:
         raise GridMismatchError(
             f"cannot diff surfaces on different grids: t={a.grid.resolution} vs t={b.grid.resolution}"
         )
-    return np.abs(a.values - b.values)
+    return _distance(a.values, b.values)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
+from cspace import build_surface
+
 
 def metric_from_counts(metric_id: str, tp: float, fn: float, tn: float, fp: float) -> float:
     """Raw-count metric formulas, written straight from their definitions.
@@ -39,6 +43,15 @@ def metric_from_counts(metric_id: str, tp: float, fn: float, tn: float, fp: floa
         den = p * n * (tp + fp) * (fn + tn)
         return (tp * tn - fn * fp) ** 2 / den if den != 0 else 0.0
     raise KeyError(metric_id)
+
+
+def curve_from_surfaces(metric, ratios, grid) -> tuple[float, ...]:
+    """Per-ratio sensitivity the long way: two full MetricSurfaces per ratio
+    from build_surface, and ``np.mean(np.abs(C1 - Cr))`` of their values."""
+    balanced = build_surface(metric, 1.0, grid).values
+    return tuple(
+        float(np.mean(np.abs(balanced - build_surface(metric, r, grid).values))) for r in ratios
+    )
 
 
 def bilinear(surface, x: float, y: float) -> float:

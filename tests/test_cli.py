@@ -12,10 +12,20 @@ import numpy as np
 import pytest
 
 import cspace
-from cspace import GridSpec, UsageError, build_surface, get_metric
+from cspace import (
+    GridSpec,
+    RatioSchedule,
+    UsageError,
+    build_surface,
+    get_metric,
+    list_metrics,
+    sensitivity,
+    sensitivity_curve,
+)
 from cspace import cli
 from cspace.cli import main
 from cspace.formats import surface_values_from_csv
+from cspace.render import RenderSpec, render_curves_svg
 
 
 def run(tmp_path, monkeypatch, *argv) -> int:
@@ -204,6 +214,51 @@ def test_compare_optional_svg(tmp_path, monkeypatch):
                "--t", "16", "--svg", "cmp.svg", "--ratios", "1:16:2", "--log-x")
     assert code == 0
     ET.fromstring((tmp_path / "cmp.svg").read_text())
+
+
+@pytest.mark.parametrize("ratio", ["4", "5"])
+def test_compare_svg_ranks_and_plots_as_separate_calls_would(tmp_path, monkeypatch, capsys, ratio):
+    # The ranking ratio lies on the schedule (4) or off it (5); either way the
+    # ranking and the plot equal what sensitivity and sensitivity_curve give.
+    code = run(tmp_path, monkeypatch, "compare", "--metrics", "hss,recall,doolittle", "--ratio", ratio,
+               "--t", "16", "--svg", "cmp.svg", "--ratios", "1:16:2", "--log-x")
+    assert code == 0
+    grid = GridSpec(16)
+    metrics = [get_metric(m) for m in ("hss", "recall", "doolittle")]
+    ranked = sorted((-sensitivity(m, float(ratio), grid), m.id) for m in metrics)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split() for line in lines] == [
+        [str(rank), mid, f"{-neg:.9g}"] for rank, (neg, mid) in enumerate(ranked, start=1)
+    ]
+    curves = [sensitivity_curve(m, RatioSchedule.geometric(1, 16, 2), grid) for m in metrics]
+    assert (tmp_path / "cmp.svg").read_text() == render_curves_svg(curves, RenderSpec(log_x=True))
+
+
+def test_reproduce_curves_match_sensitivity_curve(tmp_path, monkeypatch):
+    assert run(tmp_path, monkeypatch, "reproduce", "--t", "24", "--ratios", "0.5:64:2") == 0
+    grid = GridSpec(24)
+    schedule = RatioSchedule.geometric(0.5, 64, 2)
+    curves = [sensitivity_curve(m, schedule, grid) for m in list_metrics() if not m.extension]
+    expected = render_curves_svg(curves, RenderSpec(log_x=True))
+    assert (tmp_path / "fig4_sensitivity_curves.svg").read_text() == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensitivity", "--metrics", "doolittle", "--ratios", "1e-300,1e300", "--t", "8"),
+        ("compare", "--metrics", "hss,f1", "--ratio", "1e308", "--t", "8"),
+        ("surface", "--metric", "doolittle", "--ratio", "1e120", "--t", "8"),
+    ],
+    ids=["sensitivity-doolittle", "compare-hss", "surface-doolittle"],
+)
+def test_extreme_ratios_exit_0_without_warnings(tmp_path, monkeypatch, capsys, argv):
+    # These once overflowed: a traceback, or RuntimeWarning lines on stderr.
+    assert run(tmp_path, monkeypatch, *argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "nan" not in out
 
 
 def test_reproduce_emits_figures_and_manifest(tmp_path, monkeypatch, capsys):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from cspace import (
     CountConfusion,
     DegenerateClassError,
+    GridSpec,
     InvalidRatioError,
     RelativePerformance,
     UnknownMetricError,
+    build_surface,
     evaluate,
     fbeta,
     get_metric,
@@ -134,6 +136,16 @@ def test_extension_flags():
     assert flagged == {"gilbert", "doolittle"}
 
 
+@pytest.mark.parametrize("metric", list_metrics(), ids=lambda m: m.id)
+def test_ratio_free_declaration_matches_evaluation(metric):
+    # A ratio-free metric is never evaluated per ratio, so the declaration
+    # must hold: its surfaces agree bit for bit, every other metric's differ.
+    a = build_surface(metric, 0.3, GridSpec(16)).values
+    b = build_surface(metric, 7.0, GridSpec(16)).values
+    assert np.array_equal(a, b) == metric.ratio_free
+    assert {m.id for m in list_metrics() if m.ratio_free} == {"recall", "tss", "youden_j"}
+
+
 def test_get_metric_unknown():
     with pytest.raises(UnknownMetricError, match="nosuch"):
         get_metric("nosuch")
@@ -226,3 +238,35 @@ def test_scalar_evaluation_matches_vectorised_path(point):
             m.fn(np.float64(tpr), np.float64(tnr), float(r), m.undefined_policy)
         )
         assert evaluate(m, RelativePerformance(tpr, tnr, r)) == grid_value
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_r=st.floats(-308.0, math.log10(1.7e308), allow_nan=False))
+def test_surfaces_stay_finite_for_every_float_ratio(log_r):
+    r = 10.0**log_r
+    with np.errstate(over="raise", invalid="raise"):
+        for m in list_metrics():
+            values = build_surface(m, r, GridSpec(16)).values
+            assert np.all(np.isfinite(values))
+            assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+@given(
+    point=st.tuples(
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.floats(1e100, 1e102, allow_nan=False),
+    )
+)
+def test_large_ratio_forms_match_count_oracle(point):
+    # Just above the switch to the forms divided through by r, the count
+    # formulas do not overflow yet, so they still check them.  Both values
+    # are small there; the counts' tp*tn - fn*fp cancels when tpr + tnr is
+    # near 1, so elsewhere they must agree relatively.
+    tpr, tnr, r = point
+    x = RelativePerformance(tpr, tnr, r)
+    cancels = abs(tpr + tnr - 1.0) < 1e-3
+    for metric_id in ("hss", "doolittle"):
+        expected = metric_from_counts(metric_id, tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr))
+        close = pytest.approx(expected, rel=1e-9, abs=1e-12 if cancels else 0.0)
+        assert evaluate(get_metric(metric_id), x) == close

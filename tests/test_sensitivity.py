@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import importlib
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import curve_from_surfaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from cspace import (
     InvalidToleranceError,
     SensitivityCurve,
     curve_is_agnostic,
+    fbeta,
     get_metric,
     is_agnostic,
     list_metrics,
@@ -116,10 +120,21 @@ def test_geometric_schedule_length_is_counted_before_generating():
     # 1:2:1.0000001 holds 6931473 ratios; the count alone refuses it.
     with pytest.raises(InvalidRatioError, match="6931473 ratios"):
         RatioSchedule.geometric(1, 2, 1.0000001)
-    # 2.0**1024 overflows before 1e308 is passed
-    with pytest.raises(InvalidRatioError, match="float range"):
-        RatioSchedule.geometric(1, 1e308, 2)
+    # 2.0**1024 overflows just past 1e308, which ends the schedule there.
+    schedule = RatioSchedule.geometric(1, 1e308, 2)
+    assert len(schedule) == 1024 and schedule.ratios[-1] == 2.0**1023
     assert len(RatioSchedule.geometric(1, 1e4, 1.05)) == 189
+
+
+def test_geometric_schedule_reaches_past_an_overflowing_power():
+    # 10.0**309 overflows although 1e-10 * 10**309 = 1e299 does not.
+    ratios = RatioSchedule.geometric(1e-10, 1e300, 10).ratios
+    assert len(ratios) == 311
+    # Terms whose power is finite keep the plain product, bit for bit.
+    assert ratios[:309] == tuple(1e-10 * 10.0**k for k in range(309))
+    assert ratios[309:] == pytest.approx((1e299, 1e300), rel=1e-15)
+    # A stop at the top of the float range ends at the last finite ratio.
+    assert RatioSchedule.geometric(1e300, 1.7976931348623157e308, 1e5).ratios == (1e300, 1e300 * 1e5)
 
 
 def test_geometric_schedule_cap_holds_at_its_edge(monkeypatch):
@@ -330,3 +345,74 @@ def test_accuracy_sensitivity_matches_closed_form(t, log_r):
     r = 10.0**log_r
     expected = abs(r - 1.0) / (2.0 * (1.0 + r)) * (t * t - 1) / (3.0 * t * t)
     assert abs(sensitivity(get_metric("accuracy"), r, GridSpec(t)) - expected) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The per-ratio loop against the surface-by-surface definition
+# ---------------------------------------------------------------------------
+
+_CURVE_METRICS = list(list_metrics())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    metric=st.one_of(
+        st.sampled_from(_CURVE_METRICS),
+        st.floats(0.05, 20.0, allow_nan=False).map(fbeta),
+    ),
+    t=st.integers(2, 64),
+    log_ratios=st.lists(st.floats(-300.0, 300.0, allow_nan=False), min_size=1, max_size=6),
+    with_balance=st.booleans(),
+)
+def test_curve_equals_per_ratio_surface_oracle(metric, t, log_ratios, with_balance):
+    ratios = {10.0**x for x in log_ratios} | ({1.0} if with_balance else set())
+    schedule = RatioSchedule(tuple(sorted(ratios)))
+    grid = GridSpec(t)
+    assert sensitivity_curve(metric, schedule, grid).values == curve_from_surfaces(metric, schedule, grid)
+
+
+@pytest.mark.parametrize("metric_id", ["precision", "hss", "doolittle"])
+def test_curve_equals_oracle_at_t256_on_a_long_schedule(metric_id):
+    metric = get_metric(metric_id)
+    schedule = RatioSchedule.geometric(1e-3, 1e4, 1.6)
+    assert sensitivity_curve(metric, schedule).values == curve_from_surfaces(metric, schedule, GridSpec(256))
+
+
+def _counting(metric):
+    calls = []
+
+    def fn(tpr, tnr, r, policy):
+        calls.append(r)
+        return metric.fn(tpr, tnr, r, policy)
+
+    return dataclasses.replace(metric, fn=fn), calls
+
+
+def test_ratio_free_curves_evaluate_nothing():
+    schedule = RatioSchedule((0.5, 1.0, 3.0, 1e300))
+    for metric in list_metrics():
+        counted, calls = _counting(metric)
+        curve = sensitivity_curve(counted, schedule, GridSpec(8))
+        if metric.ratio_free:
+            assert curve.samples == tuple((r, 0.0) for r in schedule)
+            assert calls == []
+        else:
+            # The balanced surface once, then every ratio other than 1.
+            assert calls == [1.0, 0.5, 3.0, 1e300]
+
+
+def test_curve_rescales_results_the_metric_does_not_own():
+    # A scalar, a broadcast view and a read-only array are copied, not written.
+    kept = np.full((6, 6), 0.25)
+    kept.flags.writeable = False
+    shapes = {
+        "scalar": lambda tpr, tnr, r, policy: np.float64(0.5) / r,
+        "view": lambda tpr, tnr, r, policy: np.broadcast_to(tpr / r, (6, 6)),
+        "read-only": lambda tpr, tnr, r, policy: kept if r == 1.0 else kept * 0.0,
+    }
+    for name, fn in shapes.items():
+        metric = dataclasses.replace(get_metric("tss"), id=name, fn=fn, ratio_free=False)
+        schedule = RatioSchedule((1.0, 2.0, 4.0))
+        grid = GridSpec(6)
+        assert sensitivity_curve(metric, schedule, grid).values == curve_from_surfaces(metric, schedule, grid)
+    assert np.all(kept == 0.25)
