@@ -36,15 +36,6 @@ from .metrics import (
     relatively_identical,
     to_relative,
 )
-from .render import (
-    ContourSet,
-    RenderSpec,
-    default_color_map,
-    extract_contours,
-    render_curves_svg,
-    render_surface_pair_svg,
-    render_surface_svg,
-)
 from .sensitivity import (
     DEFAULT_AGNOSTIC_SCHEDULE,
     DEFAULT_AGNOSTIC_TOL,
@@ -112,3 +103,33 @@ __all__ = [
     "surface_delta",
     "to_relative",
 ]
+
+# The plotting names load ``cspace.render`` on first use (PEP 562), so a
+# process that never draws does not pay for importing it.  The submodules
+# above stay eager: a lazily imported ``cspace.sensitivity`` would rebind the
+# package attribute from the function to the module.
+_RENDER_NAMES = frozenset(
+    {
+        "ContourSet",
+        "RenderSpec",
+        "default_color_map",
+        "extract_contours",
+        "render_curves_svg",
+        "render_surface_pair_svg",
+        "render_surface_svg",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _RENDER_NAMES:
+        from . import render
+
+        value = getattr(render, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _RENDER_NAMES)

@@ -41,6 +41,7 @@ total function over the closed domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,8 +70,9 @@ MetricFn = Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
 
 # Above this ratio hss and doolittle switch to forms divided through by
 # powers of r, whose terms stay O(1); their plain forms overflow from about
-# 1e103 (doolittle) and 9e307 (hss).  Below it the plain forms are exact to
-# the bit and cost nothing extra.
+# 1e103 (doolittle) and 9e307 (hss).  F-beta does the same once 1 + beta^2
+# exceeds it.  Below it the plain forms are exact to the bit and cost
+# nothing extra.
 _LARGE_RATIO = 1e100
 
 
@@ -175,8 +177,18 @@ def relatively_identical(a: CountConfusion, b: CountConfusion) -> bool:
 
 
 def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarray:
-    """num/den with zero denominators mapped to the undefined policy."""
+    """num/den with zero denominators mapped to the undefined policy.
+
+    ``den`` must be a temporary of the full broadcast shape: when no entry is
+    0 the quotient is written into it and it is returned.
+    """
+    # The catalog's denominators are non-negative and, on cell-centred grids,
+    # positive at ordinary ratios: one reduction then shows there is nothing
+    # to map, and the division needs neither a mask nor an array of its own.
+    # Any other input takes the masked path.
     with np.errstate(divide="ignore", invalid="ignore"):
+        if np.min(den) > 0.0:
+            return np.divide(num, den, out=den) if isinstance(den, np.ndarray) else num / den
         out = np.divide(num, den)
     return np.where(den == 0.0, policy, out)
 
@@ -200,6 +212,11 @@ def _make_fbeta(beta: float) -> MetricFn:
     c = 1.0 + b2
 
     def fn(tpr, tnr, r, policy):
+        if c > _LARGE_RATIO:
+            # Numerator and denominator divided by 1 + beta^2; the plain
+            # denominator overflows once beta^2 + r nears the float limit.
+            den = tpr + (r / c) * (1.0 - tnr) + (b2 / c) * (1.0 - tpr)
+            return _where_defined(tpr, den, policy)
         num = c * tpr
         den = c * tpr + r * (1.0 - tnr) + b2 * (1.0 - tpr)
         return _where_defined(num, den, policy)
@@ -304,6 +321,9 @@ def fbeta(beta: float = 1.0) -> MetricDescriptor:
     b = float(beta)
     if not math.isfinite(b) or b <= 0.0:
         raise ValueError(f"beta must be a finite positive real, got {beta!r}")
+    if not math.isfinite(b * b):
+        limit = math.sqrt(sys.float_info.max)
+        raise ValueError(f"beta must be at most {limit:.4g}, where beta**2 stays finite, got {beta!r}")
     return MetricDescriptor(f"fbeta({b:g})", (0.0, 1.0), _make_fbeta(b))
 
 

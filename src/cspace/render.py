@@ -33,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -420,6 +419,16 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped as XML character data.
+
+    Written here because ``xml.sax.saxutils`` imports ``urllib.request``,
+    which loads the stdlib networking stack into every process.  ``&`` goes
+    first so the other entities are not escaped twice.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _hex(rgb: tuple[int, int, int]) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
@@ -473,11 +482,11 @@ def _axes(
             parts.append(f'<text x="{_fmt(px0 - 7)}" y="{_fmt(pos + 3.5)}" text-anchor="end">{label}</text>')
     parts.append(
         f'<text x="{_fmt(px0 + pw / 2)}" y="{_fmt(py0 + ph + 34)}" text-anchor="middle" '
-        f'font-size="12">{escape(x_label)}</text>'
+        f'font-size="12">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_fmt(py0 + ph / 2)}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt(py0 + ph / 2)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 14 {_fmt(py0 + ph / 2)})">{_escape(y_label)}</text>'
     )
     parts.append("</g>")
     return parts
@@ -528,7 +537,7 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     title = f"{surface.metric_id} (imbalance 1:{surface.ratio:g})"
     parts.append(
         f'<text x="{_fmt(spec.width / 2)}" y="20" text-anchor="middle" {_FONT} '
-        f'font-size="13">{escape(title)}</text>'
+        f'font-size="13">{_escape(title)}</text>'
     )
     parts.append("</g>")
     return "\n".join(parts)
@@ -617,7 +626,7 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
         if len(pts) > 1:
             attr = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
             parts.append(
-                f'<polyline id="series-{escape(curve.metric_id)}" points="{attr}" '
+                f'<polyline id="series-{_escape(curve.metric_id)}" points="{attr}" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         for x, y in pts:
@@ -630,7 +639,7 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
         lx = px0 + pw - 110
         ly = py0 + 10 + 16 * idx
         parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(ly - 9)}" width="10" height="10" fill="{color}"/>')
-        parts.append(f'<text x="{_fmt(lx + 15)}" y="{_fmt(ly)}">{escape(curve.metric_id)}</text>')
+        parts.append(f'<text x="{_fmt(lx + 15)}" y="{_fmt(ly)}">{_escape(curve.metric_id)}</text>')
     parts.append("</g>")
 
     parts.append(

@@ -15,7 +15,7 @@ sample at tpr index i (row) and tnr index j (column); storage is row-major.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -68,13 +68,17 @@ class MetricSurface:
     grid: GridSpec
     values: np.ndarray
     rescale_interval: tuple[float, float]
+    # True only from build_surface, whose fresh float64 array no one else
+    # holds; any other values are copied before they are checked and frozen.
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         t = self.grid.resolution
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = self.values if _owned else np.array(self.values, dtype=np.float64, copy=True)
         if arr.shape != (t, t):
             raise InvalidGridError(f"values must have shape ({t}, {t}), got {arr.shape}")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        # NaN fails both comparisons.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("surface values must lie in [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -106,6 +110,7 @@ def build_surface(
         grid=grid,
         values=_rescaled(metric, r, grid),
         rescale_interval=metric.theoretical_range,
+        _owned=True,
     )
 
 

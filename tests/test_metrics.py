@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +118,24 @@ def test_doolittle_undefined_corners_use_policy(point):
     assert evaluate(metric, RelativePerformance(*point)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "metric_id, corners", [("precision", [(0, 2)]), ("doolittle", [(0, 2), (2, 0)])]
+)
+@pytest.mark.parametrize("ratio", [0.5, 3.0, 1e120])
+def test_policy_lands_on_zero_denominator_cells(metric_id, corners, ratio):
+    # A non-zero policy tells the mapped cells apart from computed zeros.
+    plain = get_metric(metric_id)
+    metric = dataclasses.replace(plain, undefined_policy=0.5)
+    axis = np.array([0.0, 0.25, 1.0])
+    values = metric.fn(axis[:, None], axis[None, :], ratio, metric.undefined_policy)
+    expected = np.array(plain.fn(axis[:, None], axis[None, :], ratio, plain.undefined_policy))
+    for i, j in corners:
+        assert expected[i, j] == 0.0
+        expected[i, j] = 0.5
+        assert evaluate(metric, RelativePerformance(axis[i], axis[j], ratio)) == 0.5
+    assert np.array_equal(values, expected)
+
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
@@ -156,6 +177,27 @@ def test_fbeta_validation():
         fbeta(0.0)
     with pytest.raises(ValueError):
         fbeta(float("inf"))
+
+
+def test_fbeta_refuses_a_beta_whose_square_overflows():
+    with pytest.raises(ValueError, match=r"beta must be at most 1\.341e\+154"):
+        fbeta(1e160)
+
+
+@pytest.mark.parametrize("beta", [1e150, math.sqrt(sys.float_info.max)])
+@pytest.mark.parametrize("ratio", [1e-300, 2.0, 1e300, 1.7e308])
+def test_fbeta_with_a_huge_beta_matches_exact_arithmetic(beta, ratio):
+    t = 8
+    with np.errstate(over="raise", invalid="raise"):
+        values = build_surface(fbeta(beta), ratio, GridSpec(t)).values
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    c = (np.arange(t) + 0.5) / t
+    b2, r = Fraction(beta) ** 2, Fraction(ratio)
+    for i in range(t):
+        for j in range(t):
+            tpr, tnr = Fraction(c[i]), Fraction(c[j])
+            exact = (1 + b2) * tpr / ((1 + b2) * tpr + r * (1 - tnr) + b2 * (1 - tpr))
+            assert values[i, j] == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
 
 
 def test_fbeta_one_matches_f1_bitwise():

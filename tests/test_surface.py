@@ -8,7 +8,9 @@ from cspace import (
     GridSpec,
     InvalidGridError,
     InvalidRatioError,
+    MetricDescriptor,
     MetricMismatchError,
+    MetricSurface,
     build_surface,
     get_metric,
     list_metrics,
@@ -66,9 +68,36 @@ def test_surface_values_stay_in_unit_interval(metric, ratio):
 
 
 def test_surface_values_are_read_only():
-    surf = build_surface(get_metric("f1"), 2.0, GridSpec(4))
-    with pytest.raises(ValueError):
-        surf.values[0, 0] = 0.5
+    built = build_surface(get_metric("f1"), 2.0, GridSpec(4))
+    given = MetricSurface("given", 1.0, GridSpec(4), np.full((4, 4), 0.25), (0.0, 1.0))
+    for surf in (built, given):
+        with pytest.raises(ValueError):
+            surf.values[0, 0] = 0.5
+
+
+def test_surface_copies_values_it_is_given():
+    values = np.full((4, 4), 0.25)
+    surf = MetricSurface("given", 1.0, GridSpec(4), values, (0.0, 1.0))
+    values[0, 0] = 0.75
+    assert np.all(surf.values == 0.25)
+    assert not np.shares_memory(surf.values, values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+def test_surface_rejects_values_outside_unit_interval(bad):
+    values = np.full((4, 4), 0.25)
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        MetricSurface("given", 1.0, GridSpec(4), values, (0.0, 1.0))
+
+
+def test_build_surface_rejects_a_metric_that_returns_nan():
+    # Clipping keeps NaN, so only the range check stands between it and a surface.
+    def nan_fn(tpr, tnr, r, policy):
+        return np.full(np.broadcast_shapes(np.shape(tpr), np.shape(tnr)), np.nan)
+
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        build_surface(MetricDescriptor("nan", (0.0, 1.0), nan_fn), 2.0, GridSpec(4))
 
 
 def test_build_surface_is_bit_deterministic():
