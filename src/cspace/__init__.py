@@ -79,7 +79,6 @@ __all__ = [
     "MetricSurface",
     "RatioSchedule",
     "RelativePerformance",
-    "RenderSpec",
     "ScheduleMismatchError",
     "SensitivityCurve",
     "UnknownMetricError",
@@ -111,7 +110,6 @@ __all__ = [
 _RENDER_NAMES = frozenset(
     {
         "ContourSet",
-        "RenderSpec",
         "default_color_map",
         "extract_contours",
         "render_curves_svg",

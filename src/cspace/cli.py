@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -34,7 +33,7 @@ from . import __version__
 from .errors import CspaceError, InsufficientSamplesError, UsageError
 from .formats import curve_to_csv, curves_to_json, surface_to_csv, surface_to_json
 from .metrics import MetricDescriptor, get_metric, list_metrics
-from .render import RenderSpec, render_curves_svg, render_surface_pair_svg, render_surface_svg
+from .render import CONTOUR_LEVELS, render_curves_svg, render_surface_pair_svg, render_surface_svg
 from .sensitivity import (
     DEFAULT_AGNOSTIC_TOL,
     RatioSchedule,
@@ -60,23 +59,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; put it straight back.
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _write_text(path: Path, text: str) -> None:
     # Write-to-temp + rename keeps outputs atomic: either the full file
-    # appears or nothing does.
+    # appears or nothing does.  Creating the temp file with mode 0o666 lets
+    # the kernel apply the umask, as open() would, without changing it.  Its
+    # random part is as long as mkstemp's, so the longest usable name holds.
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        # mkstemp creates the file as 0600; give it the mode open() would.
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -142,7 +135,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     elif args.format == "json":
         text = surface_to_json(surf)
     else:
-        text = render_surface_svg(surf, RenderSpec())
+        text = render_surface_svg(surf)
     _write_text(out, text)
     vals = surf.values
     print(
@@ -167,7 +160,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         for curve in curves:
             _write_text(out_dir / f"sensitivity_{curve.metric_id}.csv", curve_to_csv(curve))
     if args.svg:
-        _write_text(out_dir / args.svg, render_curves_svg(curves, RenderSpec(log_x=args.log_x)))
+        _write_text(out_dir / args.svg, render_curves_svg(curves, args.log_x))
 
     for curve, agnostic in zip(curves, verdicts):
         try:
@@ -188,11 +181,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(metrics) < 2:
         raise UsageError("compare needs at least two metrics")
     schedule = _parse_schedule(args.ratios) if args.svg else None
-    grid = _grid(args.t, len(schedule) if schedule else 1)
     # One curve per metric over the ranking ratio and any plotted schedule,
-    # so each balanced surface is built once.
+    # so each balanced surface is built once; the cap counts all of them.
     plotted = set(schedule.ratios) if schedule else set()
     both = RatioSchedule(tuple(sorted(plotted | {args.ratio})))
+    grid = _grid(args.t, len(both))
     curves = [sensitivity_curve(m, both, grid) for m in metrics]
     rows = sorted(
         ((dict(c.samples)[args.ratio], c.metric_id) for c in curves),
@@ -206,7 +199,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
             for c in curves
         ]
-        _write_text(_out_dir(args) / args.svg, render_curves_svg(shown, RenderSpec(log_x=args.log_x)))
+        _write_text(_out_dir(args) / args.svg, render_curves_svg(shown, args.log_x))
     return 0
 
 
@@ -214,7 +207,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
-    spec = RenderSpec()
 
     f1 = get_metric("f1")
     balanced = build_surface(f1, 1.0, grid)
@@ -227,9 +219,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     ]
 
     files = {
-        "fig2_f1_contour_r1.svg": render_surface_svg(balanced, spec),
-        "fig3_f1_contours_r1_r49.svg": render_surface_pair_svg(balanced, skewed, spec),
-        "fig4_sensitivity_curves.svg": render_curves_svg(curves, RenderSpec(log_x=True)),
+        "fig2_f1_contour_r1.svg": render_surface_svg(balanced),
+        "fig3_f1_contours_r1_r49.svg": render_surface_pair_svg(balanced, skewed),
+        "fig4_sensitivity_curves.svg": render_curves_svg(curves, log_x=True),
     }
     manifest = {
         "files": sorted(files),
@@ -239,7 +231,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             "surface_ratios": [1.0, 49.0],
             "curve_metrics": [m.id for m in core],
             "schedule": list(schedule.ratios),
-            "contour_levels": list(spec.contour_levels),
+            "contour_levels": list(CONTOUR_LEVELS),
         },
         "version": __version__,
     }

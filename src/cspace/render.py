@@ -41,10 +41,10 @@ from .sensitivity import SensitivityCurve
 from .surface import MetricSurface
 
 __all__ = [
+    "CONTOUR_LEVELS",
     "ContourSet",
     "Point",
     "Polyline",
-    "RenderSpec",
     "default_color_map",
     "extract_contours",
     "render_curves_svg",
@@ -54,6 +54,9 @@ __all__ = [
 
 Point = tuple[float, float]
 Polyline = tuple[Point, ...]
+
+# The iso-levels of every surface plot, as in the paper's figures.
+CONTOUR_LEVELS = tuple(k / 10 for k in range(11))
 
 _COLOR_STOPS: tuple[tuple[float, tuple[int, int, int]], ...] = (
     (0.0, (247, 251, 255)),
@@ -74,30 +77,6 @@ def default_color_map(value: float) -> tuple[int, int, int]:
                 int(round(ca[2] + f * (cb[2] - ca[2]))),
             )
     return _COLOR_STOPS[-1][1]
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Contour levels, canvas size and ratio-axis scale for SVG emission."""
-
-    contour_levels: tuple[float, ...] = tuple(k / 10 for k in range(11))
-    width: int = 480
-    height: int = 420
-    log_x: bool = False
-
-    def __post_init__(self) -> None:
-        levels = tuple(float(v) for v in self.contour_levels)
-        if not levels:
-            raise EmptyLevelsError("render spec needs at least one contour level")
-        for v in levels:
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"contour levels must lie in [0, 1], got {v!r}")
-        for a, b in zip(levels, levels[1:]):
-            if b <= a:
-                raise ValueError("contour levels must be strictly increasing")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("canvas dimensions must be positive")
-        object.__setattr__(self, "contour_levels", levels)
 
 
 @dataclass(frozen=True)
@@ -409,10 +388,21 @@ _SERIES_COLORS = (
     "#7f7f7f",
 )
 
-_MARGIN_LEFT = 56.0
-_MARGIN_RIGHT = 16.0
-_MARGIN_TOP = 34.0
-_MARGIN_BOTTOM = 46.0
+# Every plot is one 480 x 420 canvas (a pair of surfaces is two side by
+# side) with its plot frame at (_PX0, _PY0), _PW wide and _PH high.
+_WIDTH = 480
+_HEIGHT = 420
+_PX0, _PY0, _PW, _PH = 56.0, 34.0, 408.0, 340.0
+
+
+def _px(x):
+    """Pixel x of the unit frame coordinate ``x`` (a float or an array)."""
+    return _PX0 + x * _PW
+
+
+def _py(y):
+    """Pixel y of the unit frame coordinate ``y``, which runs upwards."""
+    return _PY0 + (1.0 - y) * _PH
 
 
 def _fmt(v: float) -> str:
@@ -433,21 +423,19 @@ def _hex(rgb: tuple[int, int, int]) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], frame: tuple, close: bool) -> str:
+def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], close: bool) -> str:
     """Path data for the polylines ``x[a:b], y[a:b]`` between successive bounds.
 
-    ``frame`` is the plot's ``(px0, py0, pw, ph)`` in pixels.  Every
-    polyline has at least two points.  One whose first and last points
-    coincide is closed with its last point dropped; ``close`` closes every
-    one.
+    Points are in unit coordinates of the plot frame.  Every polyline has at
+    least two points.  One whose first and last points coincide is closed
+    with its last point dropped; ``close`` closes every one.
     """
-    px0, py0, pw, ph = frame
     b = np.asarray(bounds)
     first, last = b[:-1], b[1:] - 1
     same = (x[first] == x[last]) & (y[first] == y[last])
     keep = np.ones(len(x), dtype=bool)
     keep[last[same]] = False
-    coords = np.column_stack((px0 + x[keep] * pw, py0 + (1.0 - y[keep]) * ph))
+    coords = np.column_stack((_px(x[keep]), _py(y[keep])))
     template = " ".join(
         "M %.3f %.3f" + " L %.3f %.3f" * (m - 1) + (" Z" if z else "")
         for m, z in zip((last - first + 1 - same).tolist(), (same | close).tolist())
@@ -455,60 +443,54 @@ def _path_d(x: np.ndarray, y: np.ndarray, bounds: Sequence[int], frame: tuple, c
     return template % tuple(coords.ravel().tolist())
 
 
-def _axes(
-    px0, py0, pw, ph, ticks: Sequence[tuple[str, float, str]], x_label: str, y_label: str
-) -> list[str]:
+def _axes(ticks: Sequence[tuple[str, float, str]], x_label: str, y_label: str) -> list[str]:
     """Plot frame, ticks and axis titles.
 
     ``ticks`` holds ``("x" | "y", pixel, label)`` entries in emission order.
     """
+    bottom = _PY0 + _PH
     parts = [f'<g id="axes" {_FONT} font-size="11" fill="#000000">']
     parts.append(
-        f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
+        f'<rect x="{_fmt(_PX0)}" y="{_fmt(_PY0)}" width="{_fmt(_PW)}" height="{_fmt(_PH)}" '
         f'fill="none" stroke="#000000" stroke-width="1"/>'
     )
     for axis, pos, label in ticks:
         if axis == "x":
             parts.append(
-                f'<line x1="{_fmt(pos)}" y1="{_fmt(py0 + ph)}" x2="{_fmt(pos)}" y2="{_fmt(py0 + ph + 4)}" '
+                f'<line x1="{_fmt(pos)}" y1="{_fmt(bottom)}" x2="{_fmt(pos)}" y2="{_fmt(bottom + 4)}" '
                 f'stroke="#000000" stroke-width="1"/>'
             )
-            parts.append(f'<text x="{_fmt(pos)}" y="{_fmt(py0 + ph + 16)}" text-anchor="middle">{label}</text>')
+            parts.append(f'<text x="{_fmt(pos)}" y="{_fmt(bottom + 16)}" text-anchor="middle">{label}</text>')
         else:
             parts.append(
-                f'<line x1="{_fmt(px0 - 4)}" y1="{_fmt(pos)}" x2="{_fmt(px0)}" y2="{_fmt(pos)}" '
+                f'<line x1="{_fmt(_PX0 - 4)}" y1="{_fmt(pos)}" x2="{_fmt(_PX0)}" y2="{_fmt(pos)}" '
                 f'stroke="#000000" stroke-width="1"/>'
             )
-            parts.append(f'<text x="{_fmt(px0 - 7)}" y="{_fmt(pos + 3.5)}" text-anchor="end">{label}</text>')
+            parts.append(f'<text x="{_fmt(_PX0 - 7)}" y="{_fmt(pos + 3.5)}" text-anchor="end">{label}</text>')
     parts.append(
-        f'<text x="{_fmt(px0 + pw / 2)}" y="{_fmt(py0 + ph + 34)}" text-anchor="middle" '
+        f'<text x="{_fmt(_PX0 + _PW / 2)}" y="{_fmt(bottom + 34)}" text-anchor="middle" '
         f'font-size="12">{_escape(x_label)}</text>'
     )
     parts.append(
-        f'<text x="14" y="{_fmt(py0 + ph / 2)}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt(py0 + ph / 2)})">{_escape(y_label)}</text>'
+        f'<text x="14" y="{_fmt(_PY0 + _PH / 2)}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {_fmt(_PY0 + _PH / 2)})">{_escape(y_label)}</text>'
     )
     parts.append("</g>")
     return parts
 
 
-def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
+def _title(text: str) -> str:
+    return (
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" {_FONT} '
+        f'font-size="13">{_escape(text)}</text>'
+    )
+
+
+def _surface_group(surface: MetricSurface) -> str:
     values = surface.values
     xs = surface.tnr_coords
     ys = surface.tpr_coords
-    levels = spec.contour_levels
-
-    px0, py0 = _MARGIN_LEFT, _MARGIN_TOP
-    pw = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    ph = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
-    frame = (px0, py0, pw, ph)
-
-    def sx(x: float) -> float:
-        return px0 + x * pw
-
-    def sy(y: float) -> float:
-        return py0 + (1.0 - y) * ph
-
+    levels = CONTOUR_LEVELS
     topologies = _level_topology(values, xs, ys, levels)
 
     parts = ["<g>", '<g id="bands" stroke="none">']
@@ -520,7 +502,7 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
         fill = _hex(default_color_map(band_value))
         parts.append(
             f'<path id="band-{k}" fill="{fill}" fill-rule="nonzero" '
-            f'd="{_path_d(x, y, bounds, frame, close=True)}"/>'
+            f'd="{_path_d(x, y, bounds, close=True)}"/>'
         )
     parts.append("</g>")
 
@@ -528,56 +510,44 @@ def _surface_group(surface: MetricSurface, spec: RenderSpec) -> str:
     for k, lines in enumerate(topologies):
         if len(lines.bounds) == 1:
             continue
-        d = _path_d(lines.x, lines.y, lines.bounds, frame, close=False)
-        parts.append(f'<path id="contour-{k}" d="{d}"/>')
+        parts.append(f'<path id="contour-{k}" d="{_path_d(lines.x, lines.y, lines.bounds, close=False)}"/>')
     parts.append("</g>")
 
-    ticks = [(axis, pos, f"{f:g}") for f in _AXIS_TICKS for axis, pos in (("x", sx(f)), ("y", sy(f)))]
-    parts.extend(_axes(px0, py0, pw, ph, ticks, "tnr", "tpr"))
-    title = f"{surface.metric_id} (imbalance 1:{surface.ratio:g})"
-    parts.append(
-        f'<text x="{_fmt(spec.width / 2)}" y="20" text-anchor="middle" {_FONT} '
-        f'font-size="13">{_escape(title)}</text>'
-    )
+    ticks = [(axis, pos, f"{f:g}") for f in _AXIS_TICKS for axis, pos in (("x", _px(f)), ("y", _py(f)))]
+    parts.extend(_axes(ticks, "tnr", "tpr"))
+    parts.append(_title(f"{surface.metric_id} (imbalance 1:{surface.ratio:g})"))
     parts.append("</g>")
     return "\n".join(parts)
 
 
-def _document(width: int, height: int, body: list[str]) -> str:
+def _document(width: int, body: list[str]) -> str:
     parts = [
         _XML_PROLOG,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'height="{_HEIGHT}" viewBox="0 0 {width} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{width}" height="{_HEIGHT}" fill="#ffffff"/>',
         *body,
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
 
 
-def render_surface_svg(surface: MetricSurface, spec: RenderSpec | None = None) -> str:
-    """A self-contained SVG contour plot of one metric surface."""
-    spec = spec if spec is not None else RenderSpec()
-    return _document(spec.width, spec.height, [_surface_group(surface, spec)])
+def render_surface_svg(surface: MetricSurface) -> str:
+    """A self-contained SVG contour plot of one metric surface at CONTOUR_LEVELS."""
+    return _document(_WIDTH, [_surface_group(surface)])
 
 
-def render_surface_pair_svg(
-    left: MetricSurface, right: MetricSurface, spec: RenderSpec | None = None
-) -> str:
+def render_surface_pair_svg(left: MetricSurface, right: MetricSurface) -> str:
     """Two surface panels side by side in a single SVG document."""
-    spec = spec if spec is not None else RenderSpec()
-    body = [
-        _surface_group(left, spec),
-        f'<g transform="translate({spec.width} 0)">',
-        _surface_group(right, spec),
-        "</g>",
-    ]
-    return _document(2 * spec.width, spec.height, body)
+    body = [_surface_group(left), f'<g transform="translate({_WIDTH} 0)">', _surface_group(right), "</g>"]
+    return _document(2 * _WIDTH, body)
 
 
-def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | None = None) -> str:
-    """A multi-series sensitivity plot; all curves must share one schedule."""
-    spec = spec if spec is not None else RenderSpec()
+def render_curves_svg(curves: Sequence[SensitivityCurve], log_x: bool = False) -> str:
+    """A multi-series sensitivity plot; all curves must share one schedule.
+
+    ``log_x`` puts the ratio axis on a log scale.
+    """
     if not curves:
         raise ScheduleMismatchError("curve plot needs at least one curve")
     schedule = curves[0].ratios
@@ -587,26 +557,17 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
                 f"curves must share a ratio schedule: {c.metric_id!r} differs from {curves[0].metric_id!r}"
             )
 
-    px0, py0 = _MARGIN_LEFT, _MARGIN_TOP
-    pw = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    ph = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
-
     def u(r: float) -> float:
-        return math.log10(r) if spec.log_x else r
+        return math.log10(r) if log_x else r
 
     umin, umax = u(schedule[0]), u(schedule[-1])
     span = umax - umin
 
     def sx(r: float) -> float:
-        if span == 0.0:
-            return px0 + pw / 2.0
-        return px0 + (u(r) - umin) / span * pw
-
-    def sy(s: float) -> float:
-        return py0 + (1.0 - s) * ph
+        return _px(0.5) if span == 0.0 else _px((u(r) - umin) / span)
 
     # x ticks: schedule endpoints plus decades (log) or quarters (linear)
-    if spec.log_x:
+    if log_x:
         tick_values = {schedule[0], schedule[-1]}
         for k in range(math.ceil(umin), math.floor(umax) + 1):
             tick_values.add(float(10.0**k))
@@ -616,13 +577,13 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
     else:
         xticks = [schedule[0] + f * (schedule[-1] - schedule[0]) for f in _AXIS_TICKS]
 
-    ticks = [("x", sx(r), f"{r:g}") for r in xticks] + [("y", sy(f), f"{f:g}") for f in _AXIS_TICKS]
-    parts = _axes(px0, py0, pw, ph, ticks, "imbalance ratio r", "sensitivity")
+    ticks = [("x", sx(r), f"{r:g}") for r in xticks] + [("y", _py(f), f"{f:g}") for f in _AXIS_TICKS]
+    parts = _axes(ticks, "imbalance ratio r", "sensitivity")
 
     parts.append('<g id="series" fill="none">')
     for idx, curve in enumerate(curves):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        pts = [(sx(r), sy(s)) for r, s in curve.samples]
+        pts = [(sx(r), _py(s)) for r, s in curve.samples]
         if len(pts) > 1:
             attr = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
             parts.append(
@@ -634,16 +595,13 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], spec: RenderSpec | Non
     parts.append("</g>")
 
     parts.append(f'<g id="legend" {_FONT} font-size="11">')
+    lx = _PX0 + _PW - 110
     for idx, curve in enumerate(curves):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        lx = px0 + pw - 110
-        ly = py0 + 10 + 16 * idx
+        ly = _PY0 + 10 + 16 * idx
         parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(ly - 9)}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{_fmt(lx + 15)}" y="{_fmt(ly)}">{_escape(curve.metric_id)}</text>')
     parts.append("</g>")
 
-    parts.append(
-        f'<text x="{_fmt(spec.width / 2)}" y="20" text-anchor="middle" {_FONT} '
-        f'font-size="13">class-imbalance sensitivity</text>'
-    )
-    return _document(spec.width, spec.height, parts)
+    parts.append(_title("class-imbalance sensitivity"))
+    return _document(_WIDTH, parts)

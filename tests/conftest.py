@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -52,6 +53,55 @@ def curve_from_surfaces(metric, ratios, grid) -> tuple[float, ...]:
     return tuple(
         float(np.mean(np.abs(balanced - build_surface(metric, r, grid).values))) for r in ratios
     )
+
+
+def _x_log_x_plus(a: Decimal) -> Decimal:
+    """The integral of x * ln(x + a) over [0, 1], for a > 0.
+
+    From the antiderivative w^2/2 ln w - w^2/4 - a (w ln w - w) of
+    (w - a) ln w, at w = 1 + a and w = a.  Its terms grow like a^2 ln a and
+    cancel to about ln(a) / 2, so it is evaluated in Decimal arithmetic.
+    """
+
+    def antiderivative(w: Decimal) -> Decimal:
+        ln = w.ln()
+        return w * w / 2 * ln - w * w / 4 - a * (w * ln - w)
+
+    return antiderivative(1 + a) - antiderivative(a)
+
+
+def continuum_integral(metric_id: str, r: float, beta: float = 1.0) -> Decimal:
+    """I(r), the integral of a metric over the unit square at ratio r, exactly.
+
+    With x = tpr and u = 1 - tnr the integral over u is elementary:
+    precision x/(x + r u) gives (x/r) ln((x + r)/x), F-beta
+    (1+b) x/(x + b + r u) with b = beta^2 gives ((1+b) x/r) ln((x + b + r)/(x + b)),
+    and gilbert x/(1 + r u) gives x ln(1 + r)/r.  ``f1`` is F-beta at beta = 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rd = Decimal(r)
+        if metric_id == "precision":
+            # The integral of x ln x over [0, 1] is -1/4.
+            return (_x_log_x_plus(rd) + Decimal(1) / 4) / rd
+        if metric_id in ("f1", "fbeta"):
+            b = Decimal(1) if metric_id == "f1" else Decimal(beta) ** 2
+            return (1 + b) / rd * (_x_log_x_plus(b + rd) - _x_log_x_plus(b))
+        if metric_id == "gilbert":
+            return (1 + rd).ln() / (2 * rd)
+    raise KeyError(metric_id)
+
+
+def continuum_sensitivity(metric_id: str, r: float, beta: float = 1.0) -> float:
+    """The volume between the balanced and the ratio-r surface, s(r) = |I(1) - I(r)|.
+
+    Each of these metrics is non-increasing in r at every point, so the
+    difference of the two surfaces keeps one sign and the volume between them
+    is the difference of their integrals.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(abs(continuum_integral(metric_id, 1.0, beta) - continuum_integral(metric_id, r, beta)))
 
 
 def bilinear(surface, x: float, y: float) -> float:

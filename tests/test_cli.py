@@ -25,7 +25,7 @@ from cspace import (
 from cspace import cli
 from cspace.cli import main
 from cspace.formats import surface_values_from_csv
-from cspace.render import RenderSpec, render_curves_svg
+from cspace.render import render_curves_svg
 
 
 def run(tmp_path, monkeypatch, *argv) -> int:
@@ -114,6 +114,23 @@ def test_output_files_get_the_umask_mode(tmp_path, monkeypatch, umask, mode):
         os.umask(previous)
     assert code == 0
     assert stat.S_IMODE((tmp_path / "surface_f1_r2_t8.csv").stat().st_mode) == mode
+
+
+def test_writes_leave_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask, even briefly, would change the mode of files that
+    # other threads create meanwhile.
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "umask", refuse)
+            code = run(tmp_path, monkeypatch, "surface", "--metric", "f1", "--ratio", "2", "--t", "8")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "surface_f1_r2_t8.csv").stat().st_mode) == 0o640
 
 
 def test_sensitivity_agnostic_verdicts(tmp_path, monkeypatch, capsys):
@@ -231,7 +248,7 @@ def test_compare_svg_ranks_and_plots_as_separate_calls_would(tmp_path, monkeypat
         [str(rank), mid, f"{-neg:.9g}"] for rank, (neg, mid) in enumerate(ranked, start=1)
     ]
     curves = [sensitivity_curve(m, RatioSchedule.geometric(1, 16, 2), grid) for m in metrics]
-    assert (tmp_path / "cmp.svg").read_text() == render_curves_svg(curves, RenderSpec(log_x=True))
+    assert (tmp_path / "cmp.svg").read_text() == render_curves_svg(curves, log_x=True)
 
 
 def test_reproduce_curves_match_sensitivity_curve(tmp_path, monkeypatch):
@@ -239,7 +256,7 @@ def test_reproduce_curves_match_sensitivity_curve(tmp_path, monkeypatch):
     grid = GridSpec(24)
     schedule = RatioSchedule.geometric(0.5, 64, 2)
     curves = [sensitivity_curve(m, schedule, grid) for m in list_metrics() if not m.extension]
-    expected = render_curves_svg(curves, RenderSpec(log_x=True))
+    expected = render_curves_svg(curves, log_x=True)
     assert (tmp_path / "fig4_sensitivity_curves.svg").read_text() == expected
 
 
@@ -336,8 +353,16 @@ def test_resource_caps_reject_from_the_estimate(t, ratios):
         ("compare", "--metrics", "f1,tss", "--ratio", "2", "--t", "8", "--svg", "c.svg", "--ratios", "1:64:2"),
         ("reproduce", "--t", "8"),
         ("sensitivity", "--metrics", "f1", "--ratios", "1:2:1.0000001", "--t", "2"),
+        ("compare", "--metrics", "f1,tss", "--ratio", "7", "--t", "8", "--svg", "c.svg", "--ratios", "1,2,3,4,5,6"),
     ],
-    ids=["t-above-cap", "curve-cells", "compare-curve-cells", "reproduce-curve-cells", "schedule-length"],
+    ids=[
+        "t-above-cap",
+        "curve-cells",
+        "compare-curve-cells",
+        "reproduce-curve-cells",
+        "schedule-length",
+        "compare-ranking-ratio",
+    ],
 )
 def test_over_the_caps_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv):
     # Caps lowered so that the commands stay small; 7 ratios at t=8 is 448 cells.
@@ -347,6 +372,14 @@ def test_over_the_caps_exits_2_before_any_work(tmp_path, monkeypatch, capsys, ar
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_cap_admits_an_on_schedule_ranking_ratio(tmp_path, monkeypatch):
+    # The schedule fills the lowered cap exactly; a ranking ratio on it adds no ratio.
+    monkeypatch.setattr(cli, "MAX_CURVE_CELLS", 6 * 64)
+    argv = ("compare", "--metrics", "f1,tss", "--ratio", "5", "--t", "8", "--svg", "c.svg", "--ratios", "1,2,3,4,5,6")
+    assert run(tmp_path, monkeypatch, *argv) == 0
+    assert (tmp_path / "c.svg").exists()
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("surface", "--help")])

@@ -14,7 +14,6 @@ from cspace import (
     GridSpec,
     MetricSurface,
     RatioSchedule,
-    RenderSpec,
     ScheduleMismatchError,
     SensitivityCurve,
     build_surface,
@@ -267,17 +266,6 @@ def test_default_color_map_is_monotone_light_to_dark():
     assert all(b <= a for a, b in zip(lums, lums[1:]))
 
 
-def test_render_spec_validation():
-    with pytest.raises(ValueError):
-        RenderSpec(contour_levels=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        RenderSpec(contour_levels=(0.0, 1.5))
-    with pytest.raises(EmptyLevelsError):
-        RenderSpec(contour_levels=())
-    with pytest.raises(ValueError):
-        RenderSpec(width=0)
-
-
 # ---------------------------------------------------------------------------
 # Curve SVG
 # ---------------------------------------------------------------------------
@@ -311,7 +299,7 @@ def test_agnostic_curves_are_pinned_at_zero():
 def test_sensitive_series_order_at_right_edge():
     schedule = RatioSchedule.geometric(1, 1024, 2)
     doc = render_curves_svg(curves_for(["precision", "f1", "accuracy", "hss"], schedule, t=64),
-                            RenderSpec(log_x=True))
+                            log_x=True)
     series = series_points(doc)
     right_edge = {mid: pts[-1][1] for mid, pts in series.items()}
     # smaller pixel y = higher sensitivity
@@ -355,15 +343,14 @@ def test_curves_svg_legend_lists_metrics_in_input_order():
 # ---------------------------------------------------------------------------
 
 # sha256 of SVG outputs: a linear ratio axis, a single-ratio schedule, a
-# custom canvas and level set, a pair of doolittle panels (several open chains
-# per level), and default-spec surface plots at t=256 and t=1024 (tss at r=1
-# has samples exactly on the 0.5 level; the f1 pair is reproduce's fig3), and
-# two synthetic surfaces with closed loops, saddles and contours that touch
-# samples: a sine lattice, and random values on eighths.
+# pair of doolittle panels (several open chains per level), and surface plots
+# at t=256 and t=1024 (tss at r=1 has samples exactly on the 0.5 level; the
+# f1 pair is reproduce's fig3), and two synthetic surfaces with closed loops,
+# saddles and contours that touch samples: a sine lattice, and random values
+# on eighths.
 GOLDEN_SVG_SHA256 = {
     "curves-linear-x": "3c432a755b2447ab252ab70b1feb3362f4136007d84b4fe065d4576833fb0d09",
     "curves-single-ratio": "41f75c93454d2ac112e3a52518368ebaa83591ed8795254954d8b61cdbb4663c",
-    "surface-custom-spec": "f1b9d64560dff9e48c84ea23089491b18f5f8d3bd86246cd70b13c9da8edcb9d",
     "surface-pair": "b9da56149fbc3226e258040824a591ea3353f44fd2059f3096dc612a1dcc033b",
     "surface-precision-r300-t256": "75299e8736a87f82d582509bf61702cabfda0bec9a18e155dfe222363ce03ef7",
     "surface-doolittle-r3-t1024": "955b7c26f094c711710efd657e49bbb3545d5ef60ae56cf8b248ff617d69e8ac",
@@ -380,9 +367,6 @@ def golden_svg(case: str) -> str:
         return render_curves_svg(curves_for(["precision", "f1", "accuracy"], RatioSchedule.geometric(1, 64, 2)))
     if case == "curves-single-ratio":
         return render_curves_svg(curves_for(["f1", "hss"], RatioSchedule((5.0,))))
-    if case == "surface-custom-spec":
-        surf = build_surface(get_metric("f1"), 49.0, GridSpec(32))
-        return render_surface_svg(surf, RenderSpec(contour_levels=(0.05, 0.3, 0.6, 0.95), width=300, height=260))
     if case == "synthetic-waves-t40":
         c = (np.arange(40) + 0.5) / 40
         x, y = np.meshgrid(c, c)

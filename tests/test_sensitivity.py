@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import math
 
 import dataclasses
 
 import numpy as np
 import pytest
-from conftest import curve_from_surfaces
+from conftest import continuum_sensitivity, curve_from_surfaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from cspace import (
     RatioSchedule,
     InvalidToleranceError,
     SensitivityCurve,
+    build_surface,
     curve_is_agnostic,
     fbeta,
     get_metric,
@@ -345,6 +347,49 @@ def test_accuracy_sensitivity_matches_closed_form(t, log_r):
     r = 10.0**log_r
     expected = abs(r - 1.0) / (2.0 * (1.0 + r)) * (t * t - 1) / (3.0 * t * t)
     assert abs(sensitivity(get_metric("accuracy"), r, GridSpec(t)) - expected) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Convergence to the continuum s(r)
+# ---------------------------------------------------------------------------
+
+# The least factor by which the error against the closed form shrinks from
+# t=128 to t=256: about 4 (the midpoint rule's t^-2) for the smooth
+# surfaces, less for precision, which jumps at the corner tpr = 0, tnr = 1.
+_CONTINUUM_ORDER = {"precision": 2.0, "f1": 3.0, "fbeta": 3.0, "gilbert": 3.0}
+
+off_balance = dict(
+    metric_id=st.sampled_from(sorted(_CONTINUUM_ORDER)),
+    log_r=st.floats(0.1, math.log(100.0)),
+    below=st.booleans(),
+    beta=st.floats(0.5, 2.0),
+)
+
+
+def _continuum_case(metric_id, log_r, below, beta):
+    metric = fbeta(beta) if metric_id == "fbeta" else get_metric(metric_id)
+    return metric, math.exp(-log_r if below else log_r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**off_balance)
+def test_grid_s_converges_to_the_continuum_s(metric_id, log_r, below, beta):
+    metric, r = _continuum_case(metric_id, log_r, below, beta)
+    exact = continuum_sensitivity(metric_id, r, beta)
+    coarse = abs(sensitivity(metric, r, GridSpec(128)) - exact)
+    fine = abs(sensitivity(metric, r, GridSpec(256)) - exact)
+    assert coarse >= _CONTINUUM_ORDER[metric_id] * fine, (coarse, fine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 256), **off_balance)
+def test_grid_s_is_the_difference_of_surface_means(t, metric_id, log_r, below, beta):
+    # Each surface is non-increasing in r at every sample, so C1 - Cr keeps
+    # one sign and its mean absolute value is the difference of the means.
+    metric, r = _continuum_case(metric_id, log_r, below, beta)
+    grid = GridSpec(t)
+    means = [float(np.mean(build_surface(metric, ratio, grid).values)) for ratio in (1.0, r)]
+    assert abs(sensitivity(metric, r, grid) - abs(means[0] - means[1])) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
