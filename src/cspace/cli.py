@@ -59,6 +59,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
 
 
+# _write_text hands the text to the file this many characters at a time, so
+# the encoder never holds an encoded copy of a whole large file.
+_WRITE_SLICE = 1 << 20
+
+
 def _write_text(path: Path, text: str) -> None:
     # Write-to-temp + rename keeps outputs atomic: either the full file
     # appears or nothing does.  Creating the temp file with mode 0o666 lets
@@ -69,7 +74,8 @@ def _write_text(path: Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -180,10 +186,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     metrics = _parse_metrics(args.metrics)
     if len(metrics) < 2:
         raise UsageError("compare needs at least two metrics")
-    schedule = _parse_schedule(args.ratios) if args.svg else None
+    # --ratios is checked even when no SVG will plot it.
+    schedule = _parse_schedule(args.ratios)
     # One curve per metric over the ranking ratio and any plotted schedule,
     # so each balanced surface is built once; the cap counts all of them.
-    plotted = set(schedule.ratios) if schedule else set()
+    plotted = set(schedule.ratios) if args.svg else set()
     both = RatioSchedule(tuple(sorted(plotted | {args.ratio})))
     grid = _grid(args.t, len(both))
     curves = [sensitivity_curve(m, both, grid) for m in metrics]
@@ -194,7 +201,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"rank  metric       s@r={args.ratio:g}")
     for rank, (s, mid) in enumerate(rows, start=1):
         print(f"{rank:>4}  {mid:<11}  {s:.9g}")
-    if schedule:
+    if args.svg:
         shown = [
             SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
             for c in curves

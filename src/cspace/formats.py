@@ -101,10 +101,12 @@ def surface_to_json(surface: MetricSurface) -> str:
         },
         indent=2,
     )
-    rows = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in surface.values
-    )
-    return "".join([head[: -len("]\n}")], "\n", rows, "\n  ]\n}\n"])
+    rows = ["    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in surface.values]
+    # The head and the tail ride on the first and last rows, so the text is
+    # made by one join.
+    rows[0] = head[: -len("]\n}")] + "\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def surface_from_json(text: str) -> MetricSurface:

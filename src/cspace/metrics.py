@@ -176,6 +176,12 @@ def relatively_identical(a: CountConfusion, b: CountConfusion) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _divide_into(num, den):
+    """num / den, written into ``den`` when it is an array (a temporary of
+    the full broadcast shape)."""
+    return np.divide(num, den, out=den) if isinstance(den, np.ndarray) else num / den
+
+
 def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarray:
     """num/den with zero denominators mapped to the undefined policy.
 
@@ -188,13 +194,22 @@ def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarra
     # Any other input takes the masked path.
     with np.errstate(divide="ignore", invalid="ignore"):
         if np.min(den) > 0.0:
-            return np.divide(num, den, out=den) if isinstance(den, np.ndarray) else num / den
+            return _divide_into(num, den)
         out = np.divide(num, den)
     return np.where(den == 0.0, policy, out)
 
 
+# The rules below build each result in the first array of the full broadcast
+# shape that an expression makes, and apply every later step to it in place:
+# the same operations in the same order as the plain expression, so the same
+# bits, with one full-shape temporary where the expression makes several.
+# On scalars (evaluate) the augmented assignments simply rebind.
+
+
 def _accuracy(tpr, tnr, r, policy):
-    return (tpr + r * tnr) / (1.0 + r)
+    acc = tpr + r * tnr
+    acc /= 1.0 + r
+    return acc
 
 
 def _precision(tpr, tnr, r, policy):
@@ -218,7 +233,8 @@ def _make_fbeta(beta: float) -> MetricFn:
             den = tpr + (r / c) * (1.0 - tnr) + (b2 / c) * (1.0 - tpr)
             return _where_defined(tpr, den, policy)
         num = c * tpr
-        den = c * tpr + r * (1.0 - tnr) + b2 * (1.0 - tpr)
+        den = num + r * (1.0 - tnr)
+        den += b2 * (1.0 - tpr)
         return _where_defined(num, den, policy)
 
     return fn
@@ -238,14 +254,21 @@ def _hss(tpr, tnr, r, policy):
     if r > _LARGE_RATIO:
         # Numerator and denominator divided by r.
         return 2.0 * (tpr + tnr - 1.0) / ((1.0 - tpr) / r + tnr + tpr + r * (1.0 - tnr))
-    num = 2.0 * r * (tpr + tnr - 1.0)
-    den = (1.0 - tpr) + r * tnr + r * tpr + (r * r) * (1.0 - tnr)
-    return num / den
+    # 2.0 * r * (tpr + tnr - 1.0), and multiplication commutes bitwise.
+    num = tpr + tnr
+    num -= 1.0
+    num *= 2.0 * r
+    den = (1.0 - tpr) + r * tnr
+    den += r * tpr
+    den += (r * r) * (1.0 - tnr)
+    return _divide_into(num, den)
 
 
 def _gilbert(tpr, tnr, r, policy):
     # tp / (tp + fp + fn); denominator equals 1 + r*(1 - tnr) >= 1.
-    return tpr / (tpr + r * (1.0 - tnr) + (1.0 - tpr))
+    den = tpr + r * (1.0 - tnr)
+    den += 1.0 - tpr
+    return _divide_into(tpr, den)
 
 
 def _doolittle(tpr, tnr, r, policy):
@@ -258,8 +281,13 @@ def _doolittle(tpr, tnr, r, policy):
         den = (tpr / r + (1.0 - tnr)) * ((1.0 - tpr) / r + tnr)
         return _where_defined(num, den, policy)
     tp, fn, tn, fp = tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr)
-    num = (tp * tn - fn * fp) ** 2
-    den = r * (tp + fp) * (fn + tn)
+    num = tp * tn
+    num -= fn * fp
+    num **= 2
+    # r * (tp + fp) * (fn + tn), and multiplication commutes bitwise.
+    den = tp + fp
+    den *= r
+    den *= fn + tn
     return _where_defined(num, den, policy)
 
 

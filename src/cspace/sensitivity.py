@@ -26,7 +26,15 @@ from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranc
 from .metrics import MetricDescriptor, check_ratio
 # build_surface is not called here; it stays a name of this module because
 # perfbench/tracing.py wraps cspace.sensitivity.build_surface.
-from .surface import DEFAULT_GRID, GridSpec, _distance, _rescaled, build_surface  # noqa: F401
+from .surface import (  # noqa: F401
+    DEFAULT_GRID,
+    GridSpec,
+    _blocks,
+    _distance,
+    _one_block,
+    _rescaled,
+    build_surface,
+)
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -174,19 +182,30 @@ def _curve(
     else:
         if balanced is None:
             balanced = _rescaled(metric, 1.0, grid)
+        # A grid of one block is reduced in that block; any other grid gets
+        # one distance array for the whole curve, filled block by block.
+        dist = None if _one_block(grid) else np.empty(balanced.shape)
         samples = tuple(
-            (r, 0.0 if r == 1.0 else _mean_distance(balanced, metric, r, grid)) for r in schedule
+            (r, 0.0 if r == 1.0 else _mean_distance(balanced, metric, r, grid, dist)) for r in schedule
         )
     return SensitivityCurve(metric_id=metric.id, samples=samples, grid=grid)
 
 
-def _mean_distance(balanced: np.ndarray, metric: MetricDescriptor, r: float, grid: GridSpec) -> float:
-    """mean |C1 - Cr|, reduced in the one t x t array that holds Cr.
+def _mean_distance(
+    balanced: np.ndarray, metric: MetricDescriptor, r: float, grid: GridSpec, dist: np.ndarray | None
+) -> float:
+    """mean |C1 - Cr|, with |C1 - Cr| written block by block into ``dist``,
+    or, when ``dist`` is None, into the one block that covers the grid.
 
-    The array is freed on return, before the next ratio is evaluated.
+    Either way the mean is one reduction over a t x t array, so its bits do
+    not depend on the blocking.
     """
-    values = _rescaled(metric, r, grid)
-    return float(np.mean(_distance(balanced, values, out=values)))
+    for rows, block in _blocks(metric, r, grid):
+        if dist is None:
+            return float(np.mean(_distance(balanced, block, out=block)))
+        _distance(balanced[rows], block, out=dist[rows])
+        del block  # freed before the next block is evaluated
+    return float(np.mean(dist))
 
 
 def is_agnostic(

@@ -114,34 +114,73 @@ def build_surface(
     )
 
 
-def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
-    """``clip((raw - lo) / (hi - lo), 0, 1)`` over the grid at ratio ``r``,
-    as a fresh writeable C-contiguous t x t array.
+# Metrics are evaluated this many grid cells at a time (whole rows, at least
+# one), so their temporaries stay a small fixed size at every resolution.
+_BLOCK_CELLS = 2**16
 
-    The metric's result is rescaled in place when it is such an array of its
-    own; otherwise the rescaling makes one.  Steps that are the identity for
-    a ``[0, 1]`` range are skipped, which leaves every bit as it was.
+
+def _one_block(grid: GridSpec) -> bool:
+    """True when one block of ``_blocks`` covers the whole grid."""
+    return grid.resolution**2 <= _BLOCK_CELLS
+
+
+def _blocks(metric: MetricDescriptor, r: float, grid: GridSpec):
+    """``(rows, values)`` for consecutive row slices that cover the grid:
+    ``clip((raw - lo) / (hi - lo), 0, 1)`` at ratio ``r`` on those rows, as a
+    fresh writeable C-contiguous array.
+
+    The generator keeps no reference to a block it has yielded, so a caller
+    that drops its own frees the block before the next one is evaluated.
     """
     t = grid.resolution
     c = grid.centers()
-    raw = metric.fn(c[:, None], c[None, :], r, metric.undefined_policy)
+    step = max(1, _BLOCK_CELLS // t)
+    for start in range(0, t, step):
+        rows = slice(start, min(start + step, t))
+        tpr = c[rows, None]
+        shape = (len(tpr), t)
+        yield rows, _rescale(metric.fn(tpr, c[None, :], r, metric.undefined_policy), shape, metric)
+
+
+def _rescale(raw, shape: tuple[int, int], metric: MetricDescriptor) -> np.ndarray:
+    """``clip((raw - lo) / (hi - lo), 0, 1)`` over ``shape`` for the metric's
+    range ``[lo, hi]``.
+
+    The metric's result is rescaled in place when it is a writeable
+    C-contiguous float64 array of that shape and of its own; otherwise the
+    rescaling makes one.  Steps that are the identity for a ``[0, 1]`` range
+    are skipped, which leaves every bit as it was.
+    """
     lo, hi = metric.theoretical_range
     if (
         isinstance(raw, np.ndarray)
         and raw.dtype == np.float64
-        and raw.shape == (t, t)
+        and raw.shape == shape
         and raw.flags.c_contiguous
         and raw.flags.writeable
         and raw.flags.owndata
     ):
         out = raw
     else:
-        out = np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), (t, t)))
+        out = np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), shape))
     if lo != 0.0:
         np.subtract(out, lo, out=out)
     if hi - lo != 1.0:
         np.divide(out, hi - lo, out=out)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
+    """The blocks of ``_blocks`` as one fresh writeable t x t array: the
+    block itself when one covers the grid."""
+    if _one_block(grid):
+        return next(_blocks(metric, r, grid))[1]
+    t = grid.resolution
+    out = np.empty((t, t))
+    for rows, block in _blocks(metric, r, grid):
+        out[rows] = block
+        del block  # freed before the next block is evaluated
+    return out
 
 
 def _distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -55,6 +55,25 @@ def curve_from_surfaces(metric, ratios, grid) -> tuple[float, ...]:
     )
 
 
+def whole_grid_values(metric, ratio: float, t: int) -> np.ndarray:
+    """A metric's t x t surface values from one call of ``metric.fn`` on the
+    whole grid, rescaled and clipped as plain array expressions.
+
+    The reference for the library's row-blocked evaluation; it shares no
+    code with it.
+    """
+    c = (np.arange(t, dtype=np.float64) + 0.5) / t
+    raw = np.broadcast_to(metric.fn(c[:, None], c[None, :], ratio, metric.undefined_policy), (t, t))
+    lo, hi = metric.theoretical_range
+    return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+
+
+def whole_grid_curve(metric, ratios, t: int) -> tuple[float, ...]:
+    """Per-ratio sensitivity ``mean(|C1 - Cr|)`` from ``whole_grid_values``."""
+    balanced = whole_grid_values(metric, 1.0, t)
+    return tuple(float(np.mean(np.abs(balanced - whole_grid_values(metric, r, t)))) for r in ratios)
+
+
 def _x_log_x_plus(a: Decimal) -> Decimal:
     """The integral of x * ln(x + a) over [0, 1], for a > 0.
 

@@ -308,9 +308,10 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch, capsys):
     [
         ("surface", "--metric", "f1", "--ratio", "-1e-3"),
         ("compare", "--metrics", "f1,precision", "--ratio", "2", "--bogus"),
+        ("compare", "--metrics", "f1,tss", "--ratio", "2", "--ratios", "abc", "--t", "8"),
         (),
     ],
-    ids=["exponent-negative-ratio", "unknown-flag", "no-subcommand"],
+    ids=["exponent-negative-ratio", "unknown-flag", "compare-ratios-without-svg", "no-subcommand"],
 )
 def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert run(tmp_path, monkeypatch, *argv) == 2

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import importlib
 import math
+import tracemalloc
 
 import dataclasses
 
 import numpy as np
 import pytest
-from conftest import continuum_sensitivity, curve_from_surfaces
+from conftest import continuum_sensitivity, curve_from_surfaces, whole_grid_curve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -461,3 +462,56 @@ def test_curve_rescales_results_the_metric_does_not_own():
         grid = GridSpec(6)
         assert sensitivity_curve(metric, schedule, grid).values == curve_from_surfaces(metric, schedule, grid)
     assert np.all(kept == 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked evaluation against one whole-grid metric call
+# ---------------------------------------------------------------------------
+
+# t <= 256 is one block; 257 and 300 are two, the second a short one; 1024 is 16.
+_BLOCK_TS = [2, 255, 256, 257, 300, 1024]
+_BLOCK_METRICS = [*list_metrics(), fbeta(0.5), fbeta(3.0)]
+
+
+@pytest.mark.parametrize("t", _BLOCK_TS)
+@pytest.mark.parametrize("metric", _BLOCK_METRICS, ids=lambda m: m.id)
+def test_blocked_curve_equals_the_whole_grid_oracle(metric, t):
+    # 1e120 takes the divided-through forms of hss and doolittle.
+    schedule = RatioSchedule((0.01, 1.0, 3.0, 49.0, 1e120))
+    assert sensitivity_curve(metric, schedule, GridSpec(t)).values == whole_grid_curve(metric, schedule, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric=st.one_of(
+        st.sampled_from(_CURVE_METRICS),
+        st.floats(0.05, 20.0, allow_nan=False).map(fbeta),
+    ),
+    t=st.integers(2, 600),
+    log_ratios=st.lists(st.floats(-300.0, 300.0, allow_nan=False), min_size=1, max_size=3),
+)
+def test_blocked_curve_equals_the_whole_grid_oracle_at_any_resolution(metric, t, log_ratios):
+    schedule = RatioSchedule(tuple(sorted({10.0**x for x in log_ratios})))
+    assert sensitivity_curve(metric, schedule, GridSpec(t)).values == whole_grid_curve(metric, schedule, t)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric_id", [m.id for m in list_metrics() if not m.ratio_free])
+def test_curve_holds_two_grid_arrays_and_a_surface_one(metric_id):
+    # At t=1024 a block is 1/16 of the grid: the balanced array and the
+    # distance array, or the surface's own, plus a few blocks at a time.
+    metric, grid = get_metric(metric_id), GridSpec(1024)
+    array = 1024 * 1024 * 8
+    schedule = RatioSchedule((0.5, 2.0, 49.0))
+    assert _traced_peak(lambda: sensitivity_curve(metric, schedule, grid)) <= 2.25 * array
+    assert _traced_peak(lambda: build_surface(metric, 49.0, grid)) <= 1.25 * array

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import whole_grid_values
 
 from cspace import (
     GridMismatchError,
@@ -12,6 +13,7 @@ from cspace import (
     MetricMismatchError,
     MetricSurface,
     build_surface,
+    fbeta,
     get_metric,
     list_metrics,
     surface_delta,
@@ -104,6 +106,14 @@ def test_build_surface_is_bit_deterministic():
     a = build_surface(get_metric("hss"), 49.0, GridSpec(64))
     b = build_surface(get_metric("hss"), 49.0, GridSpec(64))
     assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("t", [2, 255, 256, 257, 300, 1024])
+@pytest.mark.parametrize("metric", [*list_metrics(), fbeta(0.5), fbeta(3.0)], ids=lambda m: m.id)
+def test_blocked_surface_equals_the_whole_grid_oracle(metric, t):
+    # t <= 256 is one block; 257 and 300 are two, the second a short one; 1024 is 16.
+    for ratio in (0.01, 1.0, 49.0, 1e120):
+        assert np.array_equal(build_surface(metric, ratio, GridSpec(t)).values, whole_grid_values(metric, ratio, t))
 
 
 def test_rescale_maps_recall_identically():
