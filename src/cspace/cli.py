@@ -11,10 +11,12 @@ Ratio schedules are either an explicit comma list (``1,2,5``) or a geometric
 range ``start:stop:factor`` (inclusive start; stop included when hit
 exactly).  The environment variable ``CSPACE_OUT_DIR`` sets the default
 output directory.  Exit status is 0 on success and 2 on usage or
-configuration errors; files are written to a temporary name and renamed on
-success, so failed runs leave no partial outputs.  ``--t`` may be at most
-MAX_RESOLUTION, and one curve (schedule length x t^2 cells) at most
-MAX_CURVE_CELLS; both are checked before any surface is built.
+configuration errors.  Each file is written to a temporary name and renamed,
+so it appears whole or not at all, but an OS error in a later write can leave
+the earlier files of ``sensitivity`` or ``reproduce``.  ``--t`` may be at most
+MAX_RESOLUTION, one curve (schedule length x t^2 cells) at most
+MAX_CURVE_CELLS, and ``--out`` and ``--svg`` must name a file; all of these
+are checked before any surface is built.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .sensitivity import (
     DEFAULT_AGNOSTIC_TOL,
     RatioSchedule,
     SensitivityCurve,
-    _curve,
     curve_is_agnostic,
     log_growth_check,
     sensitivity,  # noqa: F401  (not called here; perfbench/tracing.py wraps cli.sensitivity)
@@ -117,6 +118,17 @@ def _grid(t: int, ratios: int = 1) -> GridSpec:
     return grid
 
 
+def _target(option: str, name: str, out_dir: Path | None = None) -> Path:
+    """The file ``name``, under ``out_dir`` when given, once its last component
+    is not empty, ``.`` or ``..`` and it is not an existing directory."""
+    path = Path(name) if out_dir is None else out_dir / name
+    if os.path.basename(name) in ("", ".", ".."):
+        raise UsageError(f"{option} {name!r} does not name a file")
+    if path.is_dir():
+        raise UsageError(f"{option} {name!r} is a directory")
+    return path
+
+
 def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     ids = [part.strip() for part in spec.split(",") if part.strip()]
     if not ids:
@@ -131,11 +143,11 @@ def _parse_metrics(spec: str) -> list[MetricDescriptor]:
 def _cmd_surface(args: argparse.Namespace) -> int:
     metric = get_metric(args.metric)
     grid = _grid(args.t)
-    surf = build_surface(metric, args.ratio, grid)
-    if args.out:
-        out = Path(args.out)
+    if args.out is None:
+        out = _out_dir(args) / f"surface_{metric.id}_r{args.ratio:g}_t{args.t}.{args.format}"
     else:
-        out = _out_dir(args) / f"surface_{metric.id}_r{surf.ratio:g}_t{args.t}.{args.format}"
+        out = _target("--out", args.out)
+    surf = build_surface(metric, args.ratio, grid)
     if args.format == "csv":
         text = surface_to_csv(surf)
     elif args.format == "json":
@@ -156,17 +168,20 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
     out_dir = _out_dir(args)
+    as_json = args.format == "json"
+    names = ["sensitivity.json"] if as_json else [f"sensitivity_{m.id}.csv" for m in metrics]
+    svg = None if args.svg is None else _target("--svg", args.svg, out_dir)
+    if svg is not None and svg.name in names and svg.parent.resolve() == out_dir.resolve():
+        raise UsageError(f"--svg {args.svg!r} is also the name of a curve data file")
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
     # Verdicts come before any write, so a bad --tol leaves no files behind.
     verdicts = [curve_is_agnostic(curve, args.tol) for curve in curves]
 
-    if args.format == "json":
-        _write_text(out_dir / "sensitivity.json", curves_to_json(curves))
-    else:
-        for curve in curves:
-            _write_text(out_dir / f"sensitivity_{curve.metric_id}.csv", curve_to_csv(curve))
-    if args.svg:
-        _write_text(out_dir / args.svg, render_curves_svg(curves, args.log_x))
+    texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
+    for name, text in zip(names, texts):
+        _write_text(out_dir / name, text)
+    if svg is not None:
+        _write_text(svg, render_curves_svg(curves, args.log_x))
 
     for curve, agnostic in zip(curves, verdicts):
         try:
@@ -190,9 +205,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     schedule = _parse_schedule(args.ratios)
     # One curve per metric over the ranking ratio and any plotted schedule,
     # so each balanced surface is built once; the cap counts all of them.
-    plotted = set(schedule.ratios) if args.svg else set()
+    plotted = set(schedule.ratios) if args.svg is not None else set()
     both = RatioSchedule(tuple(sorted(plotted | {args.ratio})))
     grid = _grid(args.t, len(both))
+    svg = None if args.svg is None else _target("--svg", args.svg, _out_dir(args))
     curves = [sensitivity_curve(m, both, grid) for m in metrics]
     rows = sorted(
         ((dict(c.samples)[args.ratio], c.metric_id) for c in curves),
@@ -201,12 +217,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"rank  metric       s@r={args.ratio:g}")
     for rank, (s, mid) in enumerate(rows, start=1):
         print(f"{rank:>4}  {mid:<11}  {s:.9g}")
-    if args.svg:
+    if svg is not None:
         shown = [
             SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
             for c in curves
         ]
-        _write_text(_out_dir(args) / args.svg, render_curves_svg(shown, args.log_x))
+        _write_text(svg, render_curves_svg(shown, args.log_x))
     return 0
 
 
@@ -219,11 +235,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     balanced = build_surface(f1, 1.0, grid)
     skewed = build_surface(f1, 49.0, grid)
     core = [m for m in list_metrics() if not m.extension]
-    # f1's curve reuses the balanced surface of the panels.
-    curves = [
-        _curve(m, schedule, grid, balanced.values) if m == f1 else sensitivity_curve(m, schedule, grid)
-        for m in core
-    ]
+    curves = [sensitivity_curve(m, schedule, grid) for m in core]
 
     files = {
         "fig2_f1_contour_r1.svg": render_surface_svg(balanced),

@@ -33,9 +33,8 @@ doolittle   (tp*tn - fn*fp)^2 / (p*n*(tp + fp)*(fn + tn))            [0, 1]
 squared association index) are flagged as extensions of the core seven.
 
 Where a formula is indeterminate (0/0 at a corner of the unit square, e.g.
-precision at tpr=0, tnr=1), evaluation substitutes the metric's
-``undefined_policy`` value instead of failing, which keeps every metric a
-total function over the closed domain.
+precision at tpr=0, tnr=1), evaluation gives 0.0 instead of failing, which
+keeps every metric a total function over the closed domain.
 """
 
 from __future__ import annotations
@@ -62,11 +61,11 @@ __all__ = [
     "to_relative",
 ]
 
-# Evaluation rule: (tpr, tnr, ratio, undefined_policy) -> raw metric value.
+# Evaluation rule: (tpr, tnr, ratio) -> raw metric value.
 # tpr/tnr may be float64 scalars or broadcastable arrays; ratio is a scalar.
 # A returned array that owns its data belongs to the caller, which may
 # rescale it in place, so a rule must not keep a reference to its result.
-MetricFn = Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
+MetricFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 # Above this ratio hss and doolittle switch to forms divided through by
 # powers of r, whose terms stay O(1); their plain forms overflow from about
@@ -182,8 +181,8 @@ def _divide_into(num, den):
     return np.divide(num, den, out=den) if isinstance(den, np.ndarray) else num / den
 
 
-def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarray:
-    """num/den with zero denominators mapped to the undefined policy.
+def _where_defined(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den with zero denominators mapped to 0.0.
 
     ``den`` must be a temporary of the full broadcast shape: when no entry is
     0 the quotient is written into it and it is returned.
@@ -196,7 +195,7 @@ def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarra
         if np.min(den) > 0.0:
             return _divide_into(num, den)
         out = np.divide(num, den)
-    return np.where(den == 0.0, policy, out)
+    return np.where(den == 0.0, 0.0, out)
 
 
 # The rules below build each result in the first array of the full broadcast
@@ -206,19 +205,19 @@ def _where_defined(num: np.ndarray, den: np.ndarray, policy: float) -> np.ndarra
 # On scalars (evaluate) the augmented assignments simply rebind.
 
 
-def _accuracy(tpr, tnr, r, policy):
+def _accuracy(tpr, tnr, r):
     acc = tpr + r * tnr
     acc /= 1.0 + r
     return acc
 
 
-def _precision(tpr, tnr, r, policy):
-    # 0/0 at the all-negative corner (tpr=0, tnr=1); the policy is the limit
+def _precision(tpr, tnr, r):
+    # 0/0 at the all-negative corner (tpr=0, tnr=1); 0.0 there is the limit
     # of nearby values along tpr -> 0.
-    return _where_defined(tpr, tpr + r * (1.0 - tnr), policy)
+    return _where_defined(tpr, tpr + r * (1.0 - tnr))
 
 
-def _recall(tpr, tnr, r, policy):
+def _recall(tpr, tnr, r):
     return tpr
 
 
@@ -226,21 +225,21 @@ def _make_fbeta(beta: float) -> MetricFn:
     b2 = beta * beta
     c = 1.0 + b2
 
-    def fn(tpr, tnr, r, policy):
+    def fn(tpr, tnr, r):
         if c > _LARGE_RATIO:
             # Numerator and denominator divided by 1 + beta^2; the plain
             # denominator overflows once beta^2 + r nears the float limit.
             den = tpr + (r / c) * (1.0 - tnr) + (b2 / c) * (1.0 - tpr)
-            return _where_defined(tpr, den, policy)
+            return _where_defined(tpr, den)
         num = c * tpr
         den = num + r * (1.0 - tnr)
         den += b2 * (1.0 - tpr)
-        return _where_defined(num, den, policy)
+        return _where_defined(num, den)
 
     return fn
 
 
-def _tss(tpr, tnr, r, policy):
+def _tss(tpr, tnr, r):
     return tpr + tnr - 1.0
 
 
@@ -249,7 +248,7 @@ def _tss(tpr, tnr, r, policy):
 _youden_j = _tss
 
 
-def _hss(tpr, tnr, r, policy):
+def _hss(tpr, tnr, r):
     # Denominator is strictly positive on [0,1]^2 for every r > 0.
     if r > _LARGE_RATIO:
         # Numerator and denominator divided by r.
@@ -264,14 +263,14 @@ def _hss(tpr, tnr, r, policy):
     return _divide_into(num, den)
 
 
-def _gilbert(tpr, tnr, r, policy):
+def _gilbert(tpr, tnr, r):
     # tp / (tp + fp + fn); denominator equals 1 + r*(1 - tnr) >= 1.
     den = tpr + r * (1.0 - tnr)
     den += 1.0 - tpr
     return _divide_into(tpr, den)
 
 
-def _doolittle(tpr, tnr, r, policy):
+def _doolittle(tpr, tnr, r):
     # (tp*tn - fn*fp)^2 / (p*n*p'*n'); 0/0 at the all-negative and
     # all-positive corners.
     if r > _LARGE_RATIO:
@@ -279,7 +278,7 @@ def _doolittle(tpr, tnr, r, policy):
         # divided by r^2.
         num = (tpr + tnr - 1.0) ** 2 / r
         den = (tpr / r + (1.0 - tnr)) * ((1.0 - tpr) / r + tnr)
-        return _where_defined(num, den, policy)
+        return _where_defined(num, den)
     tp, fn, tn, fp = tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr)
     num = tp * tn
     num -= fn * fp
@@ -288,12 +287,12 @@ def _doolittle(tpr, tnr, r, policy):
     den = tp + fp
     den *= r
     den *= fn + tn
-    return _where_defined(num, den, policy)
+    return _where_defined(num, den)
 
 
 @dataclass(frozen=True)
 class MetricDescriptor:
-    """A named metric: evaluation rule, theoretical range, undefined policy.
+    """A named metric: evaluation rule, theoretical range, catalog flags.
 
     ``theoretical_range`` is the closed interval of raw values the metric can
     attain over the open domain; surfaces rescale against it.  ``extension``
@@ -305,7 +304,6 @@ class MetricDescriptor:
     id: str
     theoretical_range: tuple[float, float]
     fn: MetricFn = field(repr=False, compare=False)
-    undefined_policy: float = 0.0
     extension: bool = False
     ratio_free: bool = False
 
@@ -358,7 +356,7 @@ def fbeta(beta: float = 1.0) -> MetricDescriptor:
 def evaluate(metric: MetricDescriptor, x: RelativePerformance) -> float:
     """Raw metric value at a point of the base contingency space.
 
-    Indeterminate points resolve to ``metric.undefined_policy``; evaluation
-    never fails on a valid RelativePerformance.
+    Indeterminate points resolve to 0.0; evaluation never fails on a valid
+    RelativePerformance.
     """
-    return float(metric.fn(np.float64(x.tpr), np.float64(x.tnr), x.ratio, metric.undefined_policy))
+    return float(metric.fn(np.float64(x.tpr), np.float64(x.tnr), x.ratio))

@@ -347,15 +347,11 @@ def _region_polygons(
                 used[cur] = True
                 poly.extend(range(a, b))
                 ep = hull_param(b - 1)
-                # Next region entry counterclockwise along the hull.
-                best_dist = best_idx = None
-                for sp, idx in starts:
-                    if used[idx] and idx != seed:
-                        continue
-                    dist = (sp - ep) % perim
-                    if best_dist is None or dist < best_dist or (dist == best_dist and idx < best_idx):
-                        best_dist, best_idx = dist, idx
-                assert best_idx is not None
+                # Next region entry counterclockwise along the hull, the lowest
+                # index on a tie; the seed is always a candidate.
+                best_dist, best_idx = min(
+                    ((sp - ep) % perim, idx) for sp, idx in starts if idx == seed or not used[idx]
+                )
                 passed = sorted(
                     ((cp - ep) % perim, c) for cp, c in corners if 0.0 < (cp - ep) % perim < best_dist
                 )

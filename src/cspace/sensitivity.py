@@ -169,19 +169,10 @@ def sensitivity_curve(
     The balanced surface is built once and reused across the schedule; a
     ratio-free metric gives exactly 0 at every ratio without evaluation.
     """
-    return _curve(metric, schedule, grid, None)
-
-
-def _curve(
-    metric: MetricDescriptor, schedule: RatioSchedule, grid: GridSpec, balanced: np.ndarray | None
-) -> SensitivityCurve:
-    """``sensitivity_curve``, against ``balanced`` as the metric's values at
-    r = 1 on ``grid`` when the caller has them already."""
     if metric.ratio_free:
         samples = tuple((r, 0.0) for r in schedule)
     else:
-        if balanced is None:
-            balanced = _rescaled(metric, 1.0, grid)
+        balanced = _rescaled(metric, 1.0, grid)
         # A grid of one block is reduced in that block; any other grid gets
         # one distance array for the whole curve, filled block by block.
         dist = None if _one_block(grid) else np.empty(balanced.shape)
@@ -210,7 +201,7 @@ def _mean_distance(
 
 def is_agnostic(
     metric: MetricDescriptor,
-    schedule: RatioSchedule | None = None,
+    schedule: RatioSchedule = DEFAULT_AGNOSTIC_SCHEDULE,
     grid: GridSpec = DEFAULT_GRID,
     tol: float = DEFAULT_AGNOSTIC_TOL,
 ) -> bool:
@@ -221,8 +212,6 @@ def is_agnostic(
     universally quantified property: a False result is conclusive, a True
     result certifies the schedule alone (up to ``tol``).
     """
-    if schedule is None:
-        schedule = DEFAULT_AGNOSTIC_SCHEDULE
     return curve_is_agnostic(sensitivity_curve(metric, schedule, grid), tol)
 
 
@@ -254,12 +243,15 @@ class GrowthReport:
         return self.monotone and self.concave
 
 
-def log_growth_check(curve: SensitivityCurve, slack: float = 1e-12) -> GrowthReport:
+# Absorbs floating-point noise in log_growth_check's comparisons.
+_GROWTH_SLACK = 1e-12
+
+
+def log_growth_check(curve: SensitivityCurve) -> GrowthReport:
     """Diagnose whether a curve grows like log r.
 
     Uses the samples at r >= 1; requires at least three distinct ratios there
-    (InsufficientSamplesError otherwise).  ``slack`` absorbs floating-point
-    noise in the comparisons.
+    (InsufficientSamplesError otherwise).
     """
     seen: dict[float, float] = {}
     for r, s in curve.samples:
@@ -271,10 +263,10 @@ def log_growth_check(curve: SensitivityCurve, slack: float = 1e-12) -> GrowthRep
         )
     rs = sorted(seen)
     ss = [seen[r] for r in rs]
-    monotone = all(b >= a - slack for a, b in zip(ss, ss[1:]))
+    monotone = all(b >= a - _GROWTH_SLACK for a, b in zip(ss, ss[1:]))
     slopes = tuple(
         (sb - sa) / (math.log(rb) - math.log(ra))
         for (ra, sa), (rb, sb) in zip(zip(rs, ss), zip(rs[1:], ss[1:]))
     )
-    concave = all(b <= a + slack for a, b in zip(slopes, slopes[1:]))
+    concave = all(b <= a + _GROWTH_SLACK for a, b in zip(slopes, slopes[1:]))
     return GrowthReport(monotone=monotone, concave=concave, log_slopes=slopes)

@@ -139,7 +139,7 @@ def _blocks(metric: MetricDescriptor, r: float, grid: GridSpec):
         rows = slice(start, min(start + step, t))
         tpr = c[rows, None]
         shape = (len(tpr), t)
-        yield rows, _rescale(metric.fn(tpr, c[None, :], r, metric.undefined_policy), shape, metric)
+        yield rows, _rescale(metric.fn(tpr, c[None, :], r), shape, metric)
 
 
 def _rescale(raw, shape: tuple[int, int], metric: MetricDescriptor) -> np.ndarray:

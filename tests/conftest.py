@@ -14,8 +14,8 @@ def metric_from_counts(metric_id: str, tp: float, fn: float, tn: float, fp: floa
     """Raw-count metric formulas, written straight from their definitions.
 
     This is the reference oracle for the closed forms in cspace.metrics; it
-    shares no code with them.  Indeterminate 0/0 points return 0.0, matching
-    the library's undefined policy.
+    shares no code with them.  Indeterminate 0/0 points return 0.0, as the
+    library's metric functions do.
     """
     p = tp + fn
     n = tn + fp
@@ -63,7 +63,7 @@ def whole_grid_values(metric, ratio: float, t: int) -> np.ndarray:
     code with it.
     """
     c = (np.arange(t, dtype=np.float64) + 0.5) / t
-    raw = np.broadcast_to(metric.fn(c[:, None], c[None, :], ratio, metric.undefined_policy), (t, t))
+    raw = np.broadcast_to(metric.fn(c[:, None], c[None, :], ratio), (t, t))
     lo, hi = metric.theoretical_range
     return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
 

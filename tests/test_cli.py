@@ -303,6 +303,28 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, monkeypatch) == 2
 
 
+_SURFACE = ("surface", "--metric", "f1", "--ratio", "2", "--t", "4")
+_CURVES = ("sensitivity", "--metrics", "f1", "--ratios", "1,2", "--t", "4")
+
+# Output targets that name no file, or the file of another output; {tmp} is
+# the output directory itself.
+BAD_TARGETS = {
+    "out-dot": (*_SURFACE, "--out", "."),
+    "out-dot-dot": (*_SURFACE, "--out", "{tmp}/sub/.."),
+    "out-empty": (*_SURFACE, "--out", ""),
+    "out-directory": (*_SURFACE, "--out", "{tmp}"),
+    "svg-dot": (*_CURVES, "--svg", "."),
+    "svg-trailing-slash": (*_CURVES, "--svg", "sub/"),
+    "svg-directory": (*_CURVES, "--svg", "{tmp}"),
+    "compare-svg-dot": ("compare", "--metrics", "f1,tss", "--ratio", "2", "--t", "4", "--svg", "."),
+    "svg-is-the-json": (*_CURVES, "--format", "json", "--svg", "sensitivity.json"),
+    "svg-is-a-csv": (
+        "sensitivity", "--metrics", "f1,precision", "--ratios", "1,2", "--t", "4",
+        "--svg", "sub/../sensitivity_precision.csv",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -310,13 +332,39 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch, capsys):
         ("compare", "--metrics", "f1,precision", "--ratio", "2", "--bogus"),
         ("compare", "--metrics", "f1,tss", "--ratio", "2", "--ratios", "abc", "--t", "8"),
         (),
+        *BAD_TARGETS.values(),
     ],
-    ids=["exponent-negative-ratio", "unknown-flag", "compare-ratios-without-svg", "no-subcommand"],
+    ids=["exponent-negative-ratio", "unknown-flag", "compare-ratios-without-svg", "no-subcommand", *BAD_TARGETS],
 )
 def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
-    assert run(tmp_path, monkeypatch, *argv) == 2
+    assert run(tmp_path, monkeypatch, *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", BAD_TARGETS.values(), ids=BAD_TARGETS)
+def test_output_targets_are_checked_before_evaluation(tmp_path, monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("evaluated before the output targets were checked")
+
+    monkeypatch.setattr(cli, "build_surface", refuse)
+    monkeypatch.setattr(cli, "sensitivity_curve", refuse)
+    assert run(tmp_path, monkeypatch, *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
+    option = argv[-2]
+    assert capsys.readouterr().err.startswith(f"error: {option} "), option
+
+
+def test_an_output_symlink_is_replaced_and_its_target_kept(tmp_path, monkeypatch):
+    # os.replace renames over the link itself; it does not write through it.
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(tmp_path, monkeypatch, *_SURFACE, "--out", str(link)) == 0
+    assert not link.is_symlink()
+    assert link.read_text().startswith("tnr,tpr,value\n")
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

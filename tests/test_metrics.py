@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -26,6 +25,7 @@ from cspace import (
     relatively_identical,
     to_relative,
 )
+from cspace import metrics
 
 CORE_IDS = ["accuracy", "precision", "recall", "f1", "tss", "hss", "youden_j"]
 ALL_IDS = CORE_IDS + ["gilbert", "doolittle"]
@@ -122,18 +122,21 @@ def test_doolittle_undefined_corners_use_policy(point):
     "metric_id, corners", [("precision", [(0, 2)]), ("doolittle", [(0, 2), (2, 0)])]
 )
 @pytest.mark.parametrize("ratio", [0.5, 3.0, 1e120])
-def test_policy_lands_on_zero_denominator_cells(metric_id, corners, ratio):
-    # A non-zero policy tells the mapped cells apart from computed zeros.
-    plain = get_metric(metric_id)
-    metric = dataclasses.replace(plain, undefined_policy=0.5)
+def test_policy_lands_on_zero_denominator_cells(metric_id, corners, ratio, monkeypatch):
+    # The plain quotient, with no mapping of zero denominators, is NaN exactly
+    # at the 0/0 corners; the metric gives 0.0 there and the quotient elsewhere.
+    metric = get_metric(metric_id)
     axis = np.array([0.0, 0.25, 1.0])
-    values = metric.fn(axis[:, None], axis[None, :], ratio, metric.undefined_policy)
-    expected = np.array(plain.fn(axis[:, None], axis[None, :], ratio, plain.undefined_policy))
+    values = np.array(metric.fn(axis[:, None], axis[None, :], ratio))
+    with monkeypatch.context() as patched, np.errstate(divide="ignore", invalid="ignore"):
+        patched.setattr(metrics, "_where_defined", np.divide)
+        plain = np.array(metric.fn(axis[:, None], axis[None, :], ratio))
+    undefined = np.isnan(plain)
+    assert [(int(i), int(j)) for i, j in zip(*np.nonzero(undefined))] == corners
+    assert np.all(values[undefined] == 0.0)
+    assert np.array_equal(values[~undefined], plain[~undefined])
     for i, j in corners:
-        assert expected[i, j] == 0.0
-        expected[i, j] = 0.5
-        assert evaluate(metric, RelativePerformance(axis[i], axis[j], ratio)) == 0.5
-    assert np.array_equal(values, expected)
+        assert evaluate(metric, RelativePerformance(axis[i], axis[j], ratio)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def test_scalar_evaluation_matches_vectorised_path(point):
     tpr, tnr, r = point
     for m in list_metrics():
         grid_value = float(
-            m.fn(np.float64(tpr), np.float64(tnr), float(r), m.undefined_policy)
+            m.fn(np.float64(tpr), np.float64(tnr), float(r))
         )
         assert evaluate(m, RelativePerformance(tpr, tnr, r)) == grid_value
 

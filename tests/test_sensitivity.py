@@ -427,9 +427,9 @@ def test_curve_equals_oracle_at_t256_on_a_long_schedule(metric_id):
 def _counting(metric):
     calls = []
 
-    def fn(tpr, tnr, r, policy):
+    def fn(tpr, tnr, r):
         calls.append(r)
-        return metric.fn(tpr, tnr, r, policy)
+        return metric.fn(tpr, tnr, r)
 
     return dataclasses.replace(metric, fn=fn), calls
 
@@ -452,9 +452,9 @@ def test_curve_rescales_results_the_metric_does_not_own():
     kept = np.full((6, 6), 0.25)
     kept.flags.writeable = False
     shapes = {
-        "scalar": lambda tpr, tnr, r, policy: np.float64(0.5) / r,
-        "view": lambda tpr, tnr, r, policy: np.broadcast_to(tpr / r, (6, 6)),
-        "read-only": lambda tpr, tnr, r, policy: kept if r == 1.0 else kept * 0.0,
+        "scalar": lambda tpr, tnr, r: np.float64(0.5) / r,
+        "view": lambda tpr, tnr, r: np.broadcast_to(tpr / r, (6, 6)),
+        "read-only": lambda tpr, tnr, r: kept if r == 1.0 else kept * 0.0,
     }
     for name, fn in shapes.items():
         metric = dataclasses.replace(get_metric("tss"), id=name, fn=fn, ratio_free=False)

@@ -95,7 +95,7 @@ def test_surface_rejects_values_outside_unit_interval(bad):
 
 def test_build_surface_rejects_a_metric_that_returns_nan():
     # Clipping keeps NaN, so only the range check stands between it and a surface.
-    def nan_fn(tpr, tnr, r, policy):
+    def nan_fn(tpr, tnr, r):
         return np.full(np.broadcast_shapes(np.shape(tpr), np.shape(tnr)), np.nan)
 
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
