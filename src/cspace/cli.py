@@ -15,8 +15,9 @@ configuration errors.  Each file is written to a temporary name and renamed,
 so it appears whole or not at all, but an OS error in a later write can leave
 the earlier files of ``sensitivity`` or ``reproduce``.  ``--t`` may be at most
 MAX_RESOLUTION, one curve (schedule length x t^2 cells) at most
-MAX_CURVE_CELLS, and ``--out`` and ``--svg`` must name a file; all of these
-are checked before any surface is built.
+MAX_CURVE_CELLS, every output must name a file that is not a directory, and
+the output directory must be one or not exist yet; all of these are checked
+before any surface is built.
 """
 
 from __future__ import annotations
@@ -56,8 +57,14 @@ MAX_CURVE_CELLS = 2**28
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    """--out-dir when given, else $CSPACE_OUT_DIR, else the working directory."""
-    return Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
+    """--out-dir when given, else $CSPACE_OUT_DIR, else the working directory,
+    once the nearest of it and its ancestors that exists is a directory."""
+    option = "--out-dir" if args.out_dir else "CSPACE_OUT_DIR"
+    path = Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise UsageError(f"{option} {str(path)!r} is not a directory")
+    return path
 
 
 # _write_text hands the text to the file this many characters at a time, so
@@ -144,7 +151,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     metric = get_metric(args.metric)
     grid = _grid(args.t)
     if args.out is None:
-        out = _out_dir(args) / f"surface_{metric.id}_r{args.ratio:g}_t{args.t}.{args.format}"
+        name = f"surface_{metric.id}_r{args.ratio:g}_t{args.t}.{args.format}"
+        out = _target("output", str(_out_dir(args) / name))
     else:
         out = _target("--out", args.out)
     surf = build_surface(metric, args.ratio, grid)
@@ -170,6 +178,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     as_json = args.format == "json"
     names = ["sensitivity.json"] if as_json else [f"sensitivity_{m.id}.csv" for m in metrics]
+    paths = [_target("output", str(out_dir / name)) for name in names]
     svg = None if args.svg is None else _target("--svg", args.svg, out_dir)
     if svg is not None and svg.name in names and svg.parent.resolve() == out_dir.resolve():
         raise UsageError(f"--svg {args.svg!r} is also the name of a curve data file")
@@ -178,8 +187,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     verdicts = [curve_is_agnostic(curve, args.tol) for curve in curves]
 
     texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
-    for name, text in zip(names, texts):
-        _write_text(out_dir / name, text)
+    for path, text in zip(paths, texts):
+        _write_text(path, text)
     if svg is not None:
         _write_text(svg, render_curves_svg(curves, args.log_x))
 
@@ -226,10 +235,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# The figures reproduce writes, in the order of their texts; manifest.json follows.
+_FIGURES = ("fig2_f1_contour_r1.svg", "fig3_f1_contours_r1_r49.svg", "fig4_sensitivity_curves.svg")
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
+    paths = [_target("output", str(out_dir / name)) for name in (*_FIGURES, "manifest.json")]
 
     f1 = get_metric("f1")
     balanced = build_surface(f1, 1.0, grid)
@@ -237,13 +251,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     core = [m for m in list_metrics() if not m.extension]
     curves = [sensitivity_curve(m, schedule, grid) for m in core]
 
-    files = {
-        "fig2_f1_contour_r1.svg": render_surface_svg(balanced),
-        "fig3_f1_contours_r1_r49.svg": render_surface_pair_svg(balanced, skewed),
-        "fig4_sensitivity_curves.svg": render_curves_svg(curves, log_x=True),
-    }
+    texts = [
+        render_surface_svg(balanced),
+        render_surface_pair_svg(balanced, skewed),
+        render_curves_svg(curves, log_x=True),
+    ]
     manifest = {
-        "files": sorted(files),
+        "files": list(_FIGURES),
         "parameters": {
             "t": args.t,
             "surface_metric": "f1",
@@ -254,11 +268,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         },
         "version": __version__,
     }
-    for name, text in files.items():
-        _write_text(out_dir / name, text)
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    for name in [*sorted(files), "manifest.json"]:
-        print(f"wrote {out_dir / name}")
+    texts.append(json.dumps(manifest, indent=2) + "\n")
+    for path, text in zip(paths, texts):
+        _write_text(path, text)
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 

@@ -63,8 +63,6 @@ __all__ = [
 
 # Evaluation rule: (tpr, tnr, ratio) -> raw metric value.
 # tpr/tnr may be float64 scalars or broadcastable arrays; ratio is a scalar.
-# A returned array that owns its data belongs to the caller, which may
-# rescale it in place, so a rule must not keep a reference to its result.
 MetricFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 # Above this ratio hss and doolittle switch to forms divided through by

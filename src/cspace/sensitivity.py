@@ -29,9 +29,7 @@ from .metrics import MetricDescriptor, check_ratio
 from .surface import (  # noqa: F401
     DEFAULT_GRID,
     GridSpec,
-    _blocks,
     _distance,
-    _one_block,
     _rescaled,
     build_surface,
 )
@@ -173,30 +171,13 @@ def sensitivity_curve(
         samples = tuple((r, 0.0) for r in schedule)
     else:
         balanced = _rescaled(metric, 1.0, grid)
-        # A grid of one block is reduced in that block; any other grid gets
-        # one distance array for the whole curve, filled block by block.
-        dist = None if _one_block(grid) else np.empty(balanced.shape)
+        # One Cr array for the whole curve; |C1 - Cr| overwrites it in place.
+        cr = np.empty(balanced.shape)
         samples = tuple(
-            (r, 0.0 if r == 1.0 else _mean_distance(balanced, metric, r, grid, dist)) for r in schedule
+            (r, 0.0 if r == 1.0 else float(np.mean(_distance(balanced, _rescaled(metric, r, grid, cr), out=cr))))
+            for r in schedule
         )
     return SensitivityCurve(metric_id=metric.id, samples=samples, grid=grid)
-
-
-def _mean_distance(
-    balanced: np.ndarray, metric: MetricDescriptor, r: float, grid: GridSpec, dist: np.ndarray | None
-) -> float:
-    """mean |C1 - Cr|, with |C1 - Cr| written block by block into ``dist``,
-    or, when ``dist`` is None, into the one block that covers the grid.
-
-    Either way the mean is one reduction over a t x t array, so its bits do
-    not depend on the blocking.
-    """
-    for rows, block in _blocks(metric, r, grid):
-        if dist is None:
-            return float(np.mean(_distance(balanced, block, out=block)))
-        _distance(balanced[rows], block, out=dist[rows])
-        del block  # freed before the next block is evaluated
-    return float(np.mean(dist))
 
 
 def is_agnostic(

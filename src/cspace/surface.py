@@ -119,67 +119,33 @@ def build_surface(
 _BLOCK_CELLS = 2**16
 
 
-def _one_block(grid: GridSpec) -> bool:
-    """True when one block of ``_blocks`` covers the whole grid."""
-    return grid.resolution**2 <= _BLOCK_CELLS
+def _rescaled(
+    metric: MetricDescriptor, r: float, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``clip((raw - lo) / (hi - lo), 0, 1)`` of the metric at ratio ``r``
+    over the grid, for the metric's range ``[lo, hi]``, written into ``out``
+    (a fresh t x t array when None) one row block at a time.
 
-
-def _blocks(metric: MetricDescriptor, r: float, grid: GridSpec):
-    """``(rows, values)`` for consecutive row slices that cover the grid:
-    ``clip((raw - lo) / (hi - lo), 0, 1)`` at ratio ``r`` on those rows, as a
-    fresh writeable C-contiguous array.
-
-    The generator keeps no reference to a block it has yielded, so a caller
-    that drops its own frees the block before the next one is evaluated.
+    The first rescaling step reads the metric's result and writes into
+    ``out``, so a scalar, a view or a read-only result is never written.
+    Steps that are the identity for a ``[0, 1]`` range are skipped, which
+    leaves every bit as it was.
     """
     t = grid.resolution
     c = grid.centers()
+    lo, hi = metric.theoretical_range
+    if out is None:
+        out = np.empty((t, t))
     step = max(1, _BLOCK_CELLS // t)
     for start in range(0, t, step):
-        rows = slice(start, min(start + step, t))
-        tpr = c[rows, None]
-        shape = (len(tpr), t)
-        yield rows, _rescale(metric.fn(tpr, c[None, :], r), shape, metric)
-
-
-def _rescale(raw, shape: tuple[int, int], metric: MetricDescriptor) -> np.ndarray:
-    """``clip((raw - lo) / (hi - lo), 0, 1)`` over ``shape`` for the metric's
-    range ``[lo, hi]``.
-
-    The metric's result is rescaled in place when it is a writeable
-    C-contiguous float64 array of that shape and of its own; otherwise the
-    rescaling makes one.  Steps that are the identity for a ``[0, 1]`` range
-    are skipped, which leaves every bit as it was.
-    """
-    lo, hi = metric.theoretical_range
-    if (
-        isinstance(raw, np.ndarray)
-        and raw.dtype == np.float64
-        and raw.shape == shape
-        and raw.flags.c_contiguous
-        and raw.flags.writeable
-        and raw.flags.owndata
-    ):
-        out = raw
-    else:
-        out = np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), shape))
-    if lo != 0.0:
-        np.subtract(out, lo, out=out)
-    if hi - lo != 1.0:
-        np.divide(out, hi - lo, out=out)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
-def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
-    """The blocks of ``_blocks`` as one fresh writeable t x t array: the
-    block itself when one covers the grid."""
-    if _one_block(grid):
-        return next(_blocks(metric, r, grid))[1]
-    t = grid.resolution
-    out = np.empty((t, t))
-    for rows, block in _blocks(metric, r, grid):
-        out[rows] = block
-        del block  # freed before the next block is evaluated
+        rows = slice(start, start + step)
+        x = np.asarray(metric.fn(c[rows, None], c[None, :], r), dtype=np.float64)
+        if lo != 0.0:
+            x = np.subtract(x, lo, out=out[rows])
+        if hi - lo != 1.0:
+            x = np.divide(x, hi - lo, out=out[rows])
+        np.clip(x, 0.0, 1.0, out=out[rows])
+        del x  # the metric's result is freed before the next block is evaluated
     return out
 
 

@@ -343,16 +343,59 @@ def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, a
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", BAD_TARGETS.values(), ids=BAD_TARGETS)
-def test_output_targets_are_checked_before_evaluation(tmp_path, monkeypatch, capsys, argv):
+_REPRODUCE = ("reproduce", "--t", "4", "--ratios", "1,2")
+
+# Output places that something of the wrong kind already holds: the path made
+# first under the output directory (a directory when it ends in "/", else an
+# empty file), the argv, and the word that starts the error line after
+# "error:".  Fixed-name outputs are named "output".
+TAKEN_TARGETS = {
+    "json-is-a-directory": ("sensitivity.json/", (*_CURVES, "--format", "json"), "output"),
+    "csv-is-a-directory": (
+        "sensitivity_precision.csv/",
+        ("sensitivity", "--metrics", "f1,precision", "--ratios", "1,2", "--t", "4"),
+        "output",
+    ),
+    "surface-default-is-a-directory": ("surface_f1_r2_t4.csv/", _SURFACE, "output"),
+    "reproduce-figure-is-a-directory": ("fig3_f1_contours_r1_r49.svg/", _REPRODUCE, "output"),
+    "reproduce-manifest-is-a-directory": ("manifest.json/", _REPRODUCE, "output"),
+    "out-dir-is-a-file": ("od", (*_CURVES, "--out-dir", "{tmp}/od"), "--out-dir"),
+    "out-dir-below-a-file": ("od", (*_CURVES, "--out-dir", "{tmp}/od/sub"), "--out-dir"),
+    "reproduce-out-dir-is-a-file": ("od", (*_REPRODUCE, "--out-dir", "{tmp}/od"), "--out-dir"),
+}
+
+
+@pytest.mark.parametrize(
+    "taken, argv, option",
+    [
+        *((None, argv, argv[-2]) for argv in BAD_TARGETS.values()),
+        *TAKEN_TARGETS.values(),
+    ],
+    ids=[*BAD_TARGETS, *TAKEN_TARGETS],
+)
+def test_output_targets_are_checked_before_evaluation(tmp_path, monkeypatch, capsys, taken, argv, option):
     def refuse(*args):
         raise AssertionError("evaluated before the output targets were checked")
 
+    if taken is not None and taken.endswith("/"):
+        (tmp_path / taken).mkdir()
+    elif taken is not None:
+        (tmp_path / taken).touch()
     monkeypatch.setattr(cli, "build_surface", refuse)
     monkeypatch.setattr(cli, "sensitivity_curve", refuse)
     assert run(tmp_path, monkeypatch, *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
-    option = argv[-2]
-    assert capsys.readouterr().err.startswith(f"error: {option} "), option
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {option} "), err
+    if taken is not None:
+        assert [p.name for p in tmp_path.iterdir()] == [taken.rstrip("/")]
+
+
+def test_an_out_dir_from_the_environment_that_is_a_file_is_refused(tmp_path, monkeypatch, capsys):
+    (tmp_path / "od").touch()
+    monkeypatch.setenv("CSPACE_OUT_DIR", str(tmp_path / "od"))
+    monkeypatch.setattr(cli, "build_surface", lambda *args: pytest.fail("evaluated"))
+    assert main(list(_SURFACE)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: CSPACE_OUT_DIR {str(tmp_path / 'od')!r} is not a directory"]
 
 
 def test_an_output_symlink_is_replaced_and_its_target_kept(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import math
 import tracemalloc
@@ -447,20 +448,22 @@ def test_ratio_free_curves_evaluate_nothing():
             assert calls == [1.0, 0.5, 3.0, 1e300]
 
 
-def test_curve_rescales_results_the_metric_does_not_own():
-    # A scalar, a broadcast view and a read-only array are copied, not written.
-    kept = np.full((6, 6), 0.25)
+@pytest.mark.parametrize("t", [6, 300])  # one block, then two
+def test_curve_rescales_results_the_metric_does_not_own(t):
+    # A scalar, a broadcast view and a read-only row are read, not written.
+    kept = np.full(t, 0.25)
     kept.flags.writeable = False
     shapes = {
         "scalar": lambda tpr, tnr, r: np.float64(0.5) / r,
-        "view": lambda tpr, tnr, r: np.broadcast_to(tpr / r, (6, 6)),
+        "view": lambda tpr, tnr, r: np.broadcast_to(tpr / r, np.broadcast_shapes(tpr.shape, tnr.shape)),
         "read-only": lambda tpr, tnr, r: kept if r == 1.0 else kept * 0.0,
     }
     for name, fn in shapes.items():
         metric = dataclasses.replace(get_metric("tss"), id=name, fn=fn, ratio_free=False)
         schedule = RatioSchedule((1.0, 2.0, 4.0))
-        grid = GridSpec(6)
-        assert sensitivity_curve(metric, schedule, grid).values == curve_from_surfaces(metric, schedule, grid)
+        grid = GridSpec(t)
+        values = sensitivity_curve(metric, schedule, grid).values
+        assert values == curve_from_surfaces(metric, schedule, grid) == whole_grid_curve(metric, schedule, t)
     assert np.all(kept == 0.25)
 
 
@@ -506,10 +509,32 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def test_curves_and_surfaces_free_their_arrays_without_the_cycle_collector():
+    # A reference cycle once kept a curve's arrays alive until the cyclic
+    # collector ran; with it off, traced memory must come back at once, up to
+    # numpy's and the interpreter's small caches (about 2 KiB here), far
+    # below one 703 KiB grid array.
+    metric, grid = get_metric("f1"), GridSpec(300)
+    slack = 64 * 1024
+    schedule = RatioSchedule((0.5, 2.0, 49.0))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sensitivity_curve(metric, schedule, grid)
+        after_curve = tracemalloc.get_traced_memory()[0]
+        build_surface(metric, 49.0, grid)
+        after_surface = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after_curve - start < slack and after_surface - start < slack, (start, after_curve, after_surface)
+
+
 @pytest.mark.parametrize("metric_id", [m.id for m in list_metrics() if not m.ratio_free])
 def test_curve_holds_two_grid_arrays_and_a_surface_one(metric_id):
     # At t=1024 a block is 1/16 of the grid: the balanced array and the
-    # distance array, or the surface's own, plus a few blocks at a time.
+    # Cr array, or the surface's own, plus a few blocks at a time.
     metric, grid = get_metric(metric_id), GridSpec(1024)
     array = 1024 * 1024 * 8
     schedule = RatioSchedule((0.5, 2.0, 49.0))
