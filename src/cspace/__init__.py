@@ -11,101 +11,9 @@ contour/curve plots.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CspaceError,
-    DegenerateClassError,
-    EmptyLevelsError,
-    GridMismatchError,
-    InsufficientSamplesError,
-    InvalidGridError,
-    InvalidRatioError,
-    InvalidToleranceError,
-    MetricMismatchError,
-    ScheduleMismatchError,
-    UnknownMetricError,
-    UsageError,
-)
-from .metrics import (
-    CountConfusion,
-    MetricDescriptor,
-    RelativePerformance,
-    evaluate,
-    fbeta,
-    get_metric,
-    list_metrics,
-    relatively_identical,
-    to_relative,
-)
-from .sensitivity import (
-    DEFAULT_AGNOSTIC_SCHEDULE,
-    DEFAULT_AGNOSTIC_TOL,
-    GrowthReport,
-    RatioSchedule,
-    SensitivityCurve,
-    curve_is_agnostic,
-    is_agnostic,
-    log_growth_check,
-    sensitivity,
-    sensitivity_curve,
-)
-from .surface import (
-    DEFAULT_GRID,
-    DEFAULT_RESOLUTION,
-    GridSpec,
-    MetricSurface,
-    build_surface,
-    surface_delta,
-)
-
-__all__ = [
-    "ContourSet",
-    "CountConfusion",
-    "CspaceError",
-    "DEFAULT_AGNOSTIC_SCHEDULE",
-    "DEFAULT_AGNOSTIC_TOL",
-    "DEFAULT_GRID",
-    "DEFAULT_RESOLUTION",
-    "DegenerateClassError",
-    "EmptyLevelsError",
-    "GridMismatchError",
-    "GridSpec",
-    "GrowthReport",
-    "InsufficientSamplesError",
-    "InvalidGridError",
-    "InvalidRatioError",
-    "InvalidToleranceError",
-    "MetricDescriptor",
-    "MetricMismatchError",
-    "MetricSurface",
-    "RatioSchedule",
-    "RelativePerformance",
-    "ScheduleMismatchError",
-    "SensitivityCurve",
-    "UnknownMetricError",
-    "UsageError",
-    "build_surface",
-    "curve_is_agnostic",
-    "default_color_map",
-    "evaluate",
-    "extract_contours",
-    "fbeta",
-    "get_metric",
-    "is_agnostic",
-    "list_metrics",
-    "log_growth_check",
-    "relatively_identical",
-    "render_curves_svg",
-    "render_surface_pair_svg",
-    "render_surface_svg",
-    "sensitivity",
-    "sensitivity_curve",
-    "surface_delta",
-    "to_relative",
-]
-
 # The plotting names load ``cspace.render`` on first use (PEP 562), so a
 # process that never draws does not pay for importing it.  The submodules
-# above stay eager: a lazily imported ``cspace.sensitivity`` would rebind the
+# below stay eager: a lazily imported ``cspace.sensitivity`` would rebind the
 # package attribute from the function to the module.
 _RENDER_NAMES = frozenset(
     {
@@ -117,6 +25,17 @@ _RENDER_NAMES = frozenset(
         "render_surface_svg",
     }
 )
+
+from . import errors, metrics, sensitivity, surface  # noqa: E402
+
+__all__ = sorted(_RENDER_NAMES.union(*(m.__all__ for m in (errors, metrics, sensitivity, surface))))
+
+# The star import of .sensitivity comes after the module was bound above, so
+# it leaves ``cspace.sensitivity`` bound to the function.
+from .errors import *  # noqa: E402,F401,F403
+from .metrics import *  # noqa: E402,F401,F403
+from .sensitivity import *  # noqa: E402,F401,F403
+from .surface import *  # noqa: E402,F401,F403
 
 
 def __getattr__(name: str):

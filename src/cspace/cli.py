@@ -16,8 +16,9 @@ so it appears whole or not at all, but an OS error in a later write can leave
 the earlier files of ``sensitivity`` or ``reproduce``.  ``--t`` may be at most
 MAX_RESOLUTION, one curve (schedule length x t^2 cells) at most
 MAX_CURVE_CELLS, every output must name a file that is not a directory, and
-the output directory must be one or not exist yet; all of these are checked
-before any surface is built.
+the nearest existing ancestor of each output, and of the output directory
+itself, must be a directory; all of these are checked before any surface is
+built.
 """
 
 from __future__ import annotations
@@ -56,13 +57,18 @@ MAX_RESOLUTION = 4096
 MAX_CURVE_CELLS = 2**28
 
 
+def _can_be_directory(path: Path) -> bool:
+    """Whether ``path`` is a directory or can be made one: the nearest of it
+    and its ancestors that exists is a directory."""
+    return next((p for p in (path, *path.parents) if os.path.lexists(p)), path).is_dir()
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     """--out-dir when given, else $CSPACE_OUT_DIR, else the working directory,
-    once the nearest of it and its ancestors that exists is a directory."""
+    once it is or can be made a directory."""
     option = "--out-dir" if args.out_dir else "CSPACE_OUT_DIR"
     path = Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
-    existing = next((p for p in (path, *path.parents) if p.exists()), path)
-    if not existing.is_dir():
+    if not _can_be_directory(path):
         raise UsageError(f"{option} {str(path)!r} is not a directory")
     return path
 
@@ -127,12 +133,15 @@ def _grid(t: int, ratios: int = 1) -> GridSpec:
 
 def _target(option: str, name: str, out_dir: Path | None = None) -> Path:
     """The file ``name``, under ``out_dir`` when given, once its last component
-    is not empty, ``.`` or ``..`` and it is not an existing directory."""
+    is not empty, ``.`` or ``..``, it is not an existing directory and its
+    parent is or can be made a directory."""
     path = Path(name) if out_dir is None else out_dir / name
     if os.path.basename(name) in ("", ".", ".."):
         raise UsageError(f"{option} {name!r} does not name a file")
     if path.is_dir():
         raise UsageError(f"{option} {name!r} is a directory")
+    if not _can_be_directory(path.parent):
+        raise UsageError(f"{option} {name!r} is below a file")
     return path
 
 

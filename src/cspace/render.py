@@ -105,46 +105,31 @@ class ContourSet:
 # Marching squares
 # ---------------------------------------------------------------------------
 
-# Directed segments per block case; the key is a bitmask of corners at or
-# above the level (bit 0 = bottom-left, 1 = bottom-right, 2 = top-right,
-# 3 = top-left) and S/E/N/W name the crossed block edges.  Direction keeps
-# the above-region on the left.
-_CASES: dict[int, tuple[tuple[str, str], ...]] = {
-    1: (("S", "W"),),
-    2: (("E", "S"),),
-    3: (("E", "W"),),
-    4: (("N", "E"),),
-    6: (("N", "S"),),
-    7: (("N", "W"),),
-    8: (("W", "N"),),
-    9: (("S", "N"),),
-    11: (("E", "N"),),
-    12: (("W", "E"),),
-    13: (("S", "E"),),
-    14: (("W", "S"),),
-}
-
-# Saddle cases keyed by "block mean at or above level".
-_SADDLES: dict[int, dict[bool, tuple[tuple[str, str], ...]]] = {
-    5: {True: (("S", "E"), ("N", "W")), False: (("S", "W"), ("N", "E"))},
-    10: {True: (("W", "S"), ("E", "N")), False: (("E", "S"), ("W", "N"))},
-}
-
 
 def _segment_table() -> np.ndarray:
-    """_CASES and _SADDLES as one array for lookup by block.
+    """Directed segments for lookup by block, from the crossing rule.
+
+    Bit k of a block's case is set when corner k (0 = bottom-left, then
+    counterclockwise) lies at or above the level, and edge k (S, E, N, W)
+    runs from corner k to corner k + 1.  A segment starts on an edge crossed
+    downwards and ends on the next edge crossed upwards counterclockwise,
+    so the region ``value >= level`` lies on its left.  When the block mean
+    is below the level it ends on the previous such edge instead, which is
+    the same edge unless the block is a saddle.
 
     Row ``2 * case + (block mean >= level)`` holds up to two (start, end)
-    pairs of edge codes S=0, E=1, N=2, W=3; -1 marks no second segment.
-    Non-saddle cases fill both rows alike.
+    pairs of edge codes S=0, E=1, N=2, W=3; -1 marks no segment.
     """
-    codes = {"S": 0, "E": 1, "N": 2, "W": 3}
     table = np.full((32, 2, 2), -1, dtype=np.int8)
-    for case in range(1, 15):
-        for mean_above in (False, True):
-            pairs = _SADDLES[case][mean_above] if case in _SADDLES else _CASES[case]
-            for k, (start, end) in enumerate(pairs):
-                table[2 * case + mean_above, k] = (codes[start], codes[end])
+    for row in range(32):
+        case, mean_above = divmod(row, 2)
+        above = [case >> (k % 4) & 1 for k in range(5)]  # corners 0-3, then 0 again
+        up = [k for k in range(4) if above[k] < above[k + 1]]
+        down = [k for k in range(4) if above[k] > above[k + 1]]
+        step = 1 if mean_above else -1
+        for n, start in enumerate(down):
+            ends = (e % 4 for e in range(start + step, start + 4 * step, step))
+            table[row, n] = start, next(e for e in ends if e in up)
     return table
 
 
@@ -195,7 +180,7 @@ def _level_topology(
     cells = np.flatnonzero(lo != hi)
     lo, hi = lo.ravel()[cells], hi.ravel()[cells]
     node = cells + cells // (t - 1)  # bottom-left sample of each block
-    corners = node[:, None] + np.array([0, 1, t + 1, t])  # bit order of _CASES
+    corners = node[:, None] + np.array([0, 1, t + 1, t])  # counterclockwise from bottom-left
     corner_bands = band[corners]
     mean = (flat[node] + flat[node + 1] + flat[node + t] + flat[node + t + 1]) / 4.0
     west = n_h + node

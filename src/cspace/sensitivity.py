@@ -24,15 +24,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
-# build_surface is not called here; it stays a name of this module because
-# perfbench/tracing.py wraps cspace.sensitivity.build_surface.
-from .surface import (  # noqa: F401
-    DEFAULT_GRID,
-    GridSpec,
-    _distance,
-    _rescaled,
-    build_surface,
-)
+from .surface import DEFAULT_GRID, GridSpec, _distance, _rescaled, build_surface
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -170,7 +162,7 @@ def sensitivity_curve(
     if metric.ratio_free:
         samples = tuple((r, 0.0) for r in schedule)
     else:
-        balanced = _rescaled(metric, 1.0, grid)
+        balanced = build_surface(metric, 1.0, grid).values
         # One Cr array for the whole curve; |C1 - Cr| overwrites it in place.
         cr = np.empty(balanced.shape)
         samples = tuple(

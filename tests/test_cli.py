@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cspace
 from cspace import (
@@ -332,9 +337,21 @@ BAD_TARGETS = {
         ("compare", "--metrics", "f1,precision", "--ratio", "2", "--bogus"),
         ("compare", "--metrics", "f1,tss", "--ratio", "2", "--ratios", "abc", "--t", "8"),
         (),
+        ("sensitivity", "--metrics", "f1", "--ratios", "1:2", "--t", "4"),
+        ("sensitivity", "--metrics", "f1", "--ratios", "a:b:c", "--t", "4"),
+        ("sensitivity", "--metrics", ",", "--ratios", "1,2", "--t", "4"),
         *BAD_TARGETS.values(),
     ],
-    ids=["exponent-negative-ratio", "unknown-flag", "compare-ratios-without-svg", "no-subcommand", *BAD_TARGETS],
+    ids=[
+        "exponent-negative-ratio",
+        "unknown-flag",
+        "compare-ratios-without-svg",
+        "no-subcommand",
+        "geometric-two-parts",
+        "geometric-not-numbers",
+        "no-metrics",
+        *BAD_TARGETS,
+    ],
 )
 def test_usage_errors_print_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert run(tmp_path, monkeypatch, *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
@@ -362,6 +379,13 @@ TAKEN_TARGETS = {
     "out-dir-is-a-file": ("od", (*_CURVES, "--out-dir", "{tmp}/od"), "--out-dir"),
     "out-dir-below-a-file": ("od", (*_CURVES, "--out-dir", "{tmp}/od/sub"), "--out-dir"),
     "reproduce-out-dir-is-a-file": ("od", (*_REPRODUCE, "--out-dir", "{tmp}/od"), "--out-dir"),
+    "out-below-a-file": ("F", (*_SURFACE, "--out", "{tmp}/F/x.csv"), "--out"),
+    "svg-below-a-file": ("F", (*_CURVES, "--svg", "F/sub/c.svg"), "--svg"),
+    "compare-svg-below-a-file": (
+        "F",
+        ("compare", "--metrics", "f1,precision", "--ratio", "2", "--t", "4", "--svg", "F/c.svg"),
+        "--svg",
+    ),
 }
 
 
@@ -396,6 +420,17 @@ def test_an_out_dir_from_the_environment_that_is_a_file_is_refused(tmp_path, mon
     monkeypatch.setattr(cli, "build_surface", lambda *args: pytest.fail("evaluated"))
     assert main(list(_SURFACE)) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: CSPACE_OUT_DIR {str(tmp_path / 'od')!r} is not a directory"]
+
+
+def test_a_failed_rename_leaves_neither_the_temporary_file_nor_the_target(tmp_path, monkeypatch, capsys):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full)
+    assert run(tmp_path, monkeypatch, *_SURFACE) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_output_symlink_is_replaced_and_its_target_kept(tmp_path, monkeypatch):
@@ -498,3 +533,114 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "surface_tss_r2_t8.csv").exists()
+
+
+# argv drawn from the CLI grammar.  Each example runs in a fresh directory
+# that holds one regular file, F, and every name stays inside it, because the
+# program runs os.replace on whatever it is given.
+
+
+def _either(accepted: tuple[str, ...], refused: tuple[str, ...]):
+    """One argument's values: an accepted one half the time, else a refused one."""
+    return st.one_of(st.sampled_from(accepted), st.sampled_from(refused))
+
+
+_RATIOS = ("0.5", "1", "2", "49", "1e-320", "1_0", " 3")
+_floats = _either(_RATIOS, ("0x10", "inf", "nan", "-2", "-1e-3", "-inf"))
+_METRICS = ("f1", "precision", "tss", "hss", "accuracy")
+_metric_ids = _either(_METRICS, ("bogus", ""))
+_metric_lists = st.one_of(
+    st.lists(st.sampled_from(_METRICS), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from((*_METRICS, "bogus", "")), max_size=3),
+).map(",".join)
+# Geometric schedules hold at most 31 ratios, or a factor puts their length
+# above the cap.
+_schedules = st.one_of(
+    st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=4, unique=True).map(
+        lambda ratios: ",".join(sorted(ratios, key=float))
+    ),
+    st.lists(_floats, min_size=1, max_size=4).map(",".join),
+    st.tuples(*(st.sampled_from(parts) for parts in (("0.5", "1"), ("8", "1e9"), ("2", "8")))).map(":".join),
+    st.lists(
+        st.sampled_from(("0.5", "1", "2", "8", "1e9", "1.0000001", "0", "-2", "nan", "x")), min_size=2, max_size=4
+    ).map(":".join),
+)
+_t = _either(("2", "3", "16"), ("-1", "0", "1", "2.5", "x", "4097", str(10**9)))
+_names = _either(
+    ("a.svg", "sub/a.svg", "sensitivity.json", "sensitivity_f1.csv", "manifest.json"),
+    (".", "..", "", "sub/", "F/x.svg"),
+)
+_out_dirs = _either((".", "od"), ("F", "F/sub"))
+_flag = st.just(None)
+
+# Per subcommand: the options always given, and those that may be.
+_GRAMMAR = {
+    "surface": (
+        {"--metric": _metric_ids, "--ratio": _floats, "--t": _t},
+        {"--format": st.sampled_from(("csv", "json", "svg", "xml")), "--out": _names},
+    ),
+    "sensitivity": (
+        {"--metrics": _metric_lists, "--ratios": _schedules, "--t": _t},
+        {
+            "--format": st.sampled_from(("csv", "json")),
+            "--svg": _names,
+            "--tol": _floats,
+            "--log-x": _flag,
+            "--out-dir": _out_dirs,
+        },
+    ),
+    "compare": (
+        {"--metrics": _metric_lists, "--ratio": _floats, "--t": _t},
+        {"--svg": _names, "--ratios": _schedules, "--log-x": _flag, "--out-dir": _out_dirs},
+    ),
+    "reproduce": ({"--t": _t}, {"--ratios": _schedules, "--out-dir": _out_dirs}),
+}
+
+
+def _argv(command: str, options: dict) -> list[str]:
+    argv = [command]
+    for flag, value in options.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+_argvs = st.sampled_from(sorted(_GRAMMAR)).flatmap(
+    lambda cmd: st.fixed_dictionaries(_GRAMMAR[cmd][0], optional=_GRAMMAR[cmd][1]).map(
+        lambda options: _argv(cmd, options)
+    )
+)
+
+
+def _run_in_fresh_directory(argv: list[str]):
+    """Exit code, stdout, stderr and every path left (file -> bytes, or None
+    for a directory) of ``main(argv)`` run in a new directory holding F."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setenv("CSPACE_OUT_DIR", ".")
+        Path("F").touch()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        left = {
+            str(p): None if p.is_dir() else p.read_bytes() for p in sorted(Path(".").rglob("*"))
+        }
+    return code, out.getvalue(), err.getvalue(), left
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs)
+# An SVG below a file, given to the two commands that evaluate curves before
+# they write it.
+@example(argv=["sensitivity", "--metrics", "f1", "--ratios", "1,2", "--t", "3", "--svg", "F/x.svg"])
+@example(argv=["compare", "--metrics", "f1,precision", "--ratio", "2", "--t", "3", "--svg", "F/x.svg"])
+def test_every_argv_of_the_grammar_ends_in_a_result_or_one_error_line(argv):
+    code, out, err, left = _run_in_fresh_directory(argv)
+    assert code in (0, 2)
+    assert not [name for name in left if name.endswith(".tmp")], left
+    if code == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (out, lines)
+        assert left == {"F": b""}
+    else:
+        assert err == ""
+        assert _run_in_fresh_directory(argv) == (code, out, err, left)

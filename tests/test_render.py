@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import bilinear, parse_path_d, reference_contours, shoelace
+from conftest import _REF_CASES, _REF_SADDLES, bilinear, parse_path_d, reference_contours, shoelace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from cspace import (
     render_surface_svg,
     sensitivity_curve,
 )
-from cspace.render import _level_topology, _region_polygons, default_color_map
+from cspace.render import _SEGMENTS, _level_topology, _region_polygons, default_color_map
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -129,6 +129,18 @@ def test_extract_contours_matches_per_cell_reference(values, levels):
     cset = extract_contours(surf, levels)
     assert cset.levels == tuple(levels)
     assert cset.polylines == reference_contours(values, surf.tnr_coords, surf.tpr_coords, levels)
+
+
+def test_segment_table_matches_the_reference_cases():
+    # Row 2 * case + (block mean >= level); saddle rows may list their two
+    # segments in either order, since chains are keyed by their start edge.
+    codes = {"S": 0, "E": 1, "N": 2, "W": 3}
+    for row in range(32):
+        case, mean_above = divmod(row, 2)
+        ref = _REF_SADDLES[case][bool(mean_above)] if case in _REF_SADDLES else _REF_CASES.get(case, ())
+        pairs = [tuple(p) for p in _SEGMENTS[row].tolist() if p != [-1, -1]]
+        assert len(pairs) == len(ref) and set(pairs) == {(codes[a], codes[b]) for a, b in ref}, row
+    assert (_SEGMENTS[[0, 1, 30, 31]] == -1).all()
 
 
 @pytest.mark.parametrize("levels", [[0.5, 0.2, 0.5], [1.0, 0.0, 1.0, 0.3], [0.3]])
