@@ -11,19 +11,20 @@ Ratio schedules are either an explicit comma list (``1,2,5``) or a geometric
 range ``start:stop:factor`` (inclusive start; stop included when hit
 exactly).  The environment variable ``CSPACE_OUT_DIR`` sets the default
 output directory.  Exit status is 0 on success and 2 on usage or
-configuration errors.  Each file is written to a temporary name and renamed,
-so it appears whole or not at all, but an OS error in a later write can leave
-the earlier files of ``sensitivity`` or ``reproduce``.  ``--t`` may be at most
-MAX_RESOLUTION, one curve (schedule length x t^2 cells) at most
-MAX_CURVE_CELLS, every output must name a file that is not a directory, and
-the nearest existing ancestor of each output, and of the output directory
-itself, must be a directory; all of these are checked before any surface is
-built.
+configuration errors.  A command's files are all written to temporary names
+before any is renamed, so they appear together or not at all, unless one of
+the final renames fails; standard output is printed once every file has
+landed.  ``--t`` may be at most MAX_RESOLUTION, one curve (schedule length x
+t^2 cells) at most MAX_CURVE_CELLS, every output must name a file that is not
+a directory, and the nearest existing ancestor of each output, and of the
+output directory itself, must be a directory; all of these are checked before
+any surface is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -78,24 +79,32 @@ def _out_dir(args: argparse.Namespace) -> Path:
 _WRITE_SLICE = 1 << 20
 
 
-def _write_text(path: Path, text: str) -> None:
-    # Write-to-temp + rename keeps outputs atomic: either the full file
-    # appears or nothing does.  Creating the temp file with mode 0o666 lets
-    # the kernel apply the umask, as open() would, without changing it.  Its
-    # random part is as long as mkstemp's, so the longest usable name holds.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_text(fd: int, text: str) -> None:
+    """Write ``text`` as UTF-8 to the open file ``fd`` and close it."""
+    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
+
+
+def _write_files(files: dict[Path, str]) -> None:
+    """Write every file to a temporary name beside it, then rename them all;
+    on any error remove each temporary file made.  Mode 0o666 lets the kernel
+    apply the umask as open() would; a temporary name's length does not
+    depend on the target's, so every name the file system allows holds."""
+    made: list[Path] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start : start + _WRITE_SLICE])
-        os.replace(tmp, path)
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made.append(tmp)
+            _write_text(fd, text)
+        for tmp, path in zip(made, files):
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp in made:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -156,7 +165,10 @@ def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     return metrics
 
 
-def _cmd_surface(args: argparse.Namespace) -> int:
+_Output = tuple[dict[Path, str], list[str]]  # a command's files to write, lines to print
+
+
+def _cmd_surface(args: argparse.Namespace) -> _Output:
     metric = get_metric(args.metric)
     grid = _grid(args.t)
     if args.out is None:
@@ -165,22 +177,15 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     else:
         out = _target("--out", args.out)
     surf = build_surface(metric, args.ratio, grid)
-    if args.format == "csv":
-        text = surface_to_csv(surf)
-    elif args.format == "json":
-        text = surface_to_json(surf)
-    else:
-        text = render_surface_svg(surf)
-    _write_text(out, text)
+    # Built per call, so that writers patched after import are the ones used.
+    writers = {"csv": surface_to_csv, "json": surface_to_json, "svg": render_surface_svg}
     vals = surf.values
-    print(
-        f"surface metric={metric.id} r={surf.ratio:g} t={args.t} "
-        f"min={np.min(vals):.9g} max={np.max(vals):.9g} mean={np.mean(vals):.9g} -> {out}"
-    )
-    return 0
+    line = f"surface metric={metric.id} r={surf.ratio:g} t={args.t} min={np.min(vals):.9g} "
+    line += f"max={np.max(vals):.9g} mean={np.mean(vals):.9g} -> {out}"
+    return {out: writers[args.format](surf)}, [line]
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
+def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
     metrics = _parse_metrics(args.metrics)
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
@@ -192,30 +197,26 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     if svg is not None and svg.name in names and svg.parent.resolve() == out_dir.resolve():
         raise UsageError(f"--svg {args.svg!r} is also the name of a curve data file")
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
-    # Verdicts come before any write, so a bad --tol leaves no files behind.
-    verdicts = [curve_is_agnostic(curve, args.tol) for curve in curves]
-
-    texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
-    for path, text in zip(paths, texts):
-        _write_text(path, text)
-    if svg is not None:
-        _write_text(svg, render_curves_svg(curves, args.log_x))
-
-    for curve, agnostic in zip(curves, verdicts):
+    lines = []
+    for curve in curves:
         try:
             report = log_growth_check(curve)
         except InsufficientSamplesError:
             growth = ""
         else:
             growth = " growth=" + ("logarithmic-like" if report.logarithmic_like else "irregular")
-        if agnostic:
-            print(f"{curve.metric_id}: agnostic (tol={args.tol:g})")
+        if curve_is_agnostic(curve, args.tol):
+            lines.append(f"{curve.metric_id}: agnostic (tol={args.tol:g})")
         else:
-            print(f"{curve.metric_id}: sensitive max_s={max(curve.values):.9g}{growth}")
-    return 0
+            lines.append(f"{curve.metric_id}: sensitive max_s={max(curve.values):.9g}{growth}")
+    texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
+    files = dict(zip(paths, texts))
+    if svg is not None:
+        files[svg] = render_curves_svg(curves, args.log_x)
+    return files, lines
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> _Output:
     metrics = _parse_metrics(args.metrics)
     if len(metrics) < 2:
         raise UsageError("compare needs at least two metrics")
@@ -232,23 +233,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ((dict(c.samples)[args.ratio], c.metric_id) for c in curves),
         key=lambda pair: (-pair[0], pair[1]),
     )
-    print(f"rank  metric       s@r={args.ratio:g}")
-    for rank, (s, mid) in enumerate(rows, start=1):
-        print(f"{rank:>4}  {mid:<11}  {s:.9g}")
-    if svg is not None:
-        shown = [
-            SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
-            for c in curves
-        ]
-        _write_text(svg, render_curves_svg(shown, args.log_x))
-    return 0
+    lines = [f"rank  metric       s@r={args.ratio:g}"]
+    lines += [f"{rank:>4}  {mid:<11}  {s:.9g}" for rank, (s, mid) in enumerate(rows, start=1)]
+    if svg is None:
+        return {}, lines
+    shown = [
+        SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
+        for c in curves
+    ]
+    return {svg: render_curves_svg(shown, args.log_x)}, lines
 
 
 # The figures reproduce writes, in the order of their texts; manifest.json follows.
 _FIGURES = ("fig2_f1_contour_r1.svg", "fig3_f1_contours_r1_r49.svg", "fig4_sensitivity_curves.svg")
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> _Output:
     out_dir = _out_dir(args)
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
@@ -278,11 +278,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         "version": __version__,
     }
     texts.append(json.dumps(manifest, indent=2) + "\n")
-    for path, text in zip(paths, texts):
-        _write_text(path, text)
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return dict(zip(paths, texts)), [f"wrote {path}" for path in paths]
 
 
 # Option values that argparse (through its private negative-number matcher,
@@ -360,7 +356,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         if extra:
             raise UsageError(f"cspace {args.command}: unrecognized arguments: {' '.join(extra)}")
-        return args.func(args)
+        files, lines = args.func(args)
+        _write_files(files)
+        for line in lines:
+            print(line)
+        return 0
     except (CspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

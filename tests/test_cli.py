@@ -433,6 +433,42 @@ def test_a_failed_rename_leaves_neither_the_temporary_file_nor_the_target(tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (_SURFACE, 1),
+        (("sensitivity", "--metrics", "f1,precision", "--ratios", "1,2", "--t", "4", "--svg", "c.svg"), 3),
+        (("compare", "--metrics", "f1,precision", "--ratio", "2", "--t", "4", "--svg", "c.svg"), 1),
+        (("reproduce", "--t", "4", "--ratios", "1,2"), 4),
+    ],
+    ids=["surface", "sensitivity", "compare", "reproduce"],
+)
+def test_a_failure_in_the_last_write_leaves_no_file_and_prints_nothing(tmp_path, monkeypatch, capsys, argv, files):
+    # The last file's text is written in full before the disk "fills".
+    write, calls = cli._write_text, []
+
+    def full_after_the_last_file(*args):
+        write(*args)
+        calls.append(args)
+        if len(calls) == files:
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_text", full_after_the_last_file)
+    assert run(tmp_path, monkeypatch, *argv) == 2
+    assert len(calls) == files
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (out, err)
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
+def test_an_output_name_of_the_longest_length_the_file_system_allows_is_written(tmp_path, monkeypatch):
+    # The temporary name must fit wherever the target's name fits.
+    name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".csv")) + ".csv"
+    assert run(tmp_path, monkeypatch, *_SURFACE, "--out", str(tmp_path / name)) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text().startswith("tnr,tpr,value\n")
+
+
 def test_an_output_symlink_is_replaced_and_its_target_kept(tmp_path, monkeypatch):
     # os.replace renames over the link itself; it does not write through it.
     target = tmp_path / "target.csv"

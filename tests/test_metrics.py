@@ -15,6 +15,7 @@ from cspace import (
     DegenerateClassError,
     GridSpec,
     InvalidRatioError,
+    MetricDescriptor,
     RelativePerformance,
     UnknownMetricError,
     build_surface,
@@ -153,6 +154,12 @@ def test_catalog_ranges_are_proper_intervals():
     for m in list_metrics():
         lo, hi = m.theoretical_range
         assert lo < hi
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+def test_metric_descriptor_rejects_improper_ranges(bounds):
+    with pytest.raises(ValueError, match="lo < hi"):
+        MetricDescriptor("bad", bounds, get_metric("f1").fn)
 
 
 def test_extension_flags():

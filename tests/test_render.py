@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
+    ContourSet,
     EmptyLevelsError,
     GridSpec,
     MetricSurface,
@@ -78,6 +79,21 @@ def test_out_of_range_levels_rejected():
     surf = build_surface(get_metric("f1"), 2.0, GridSpec(8))
     with pytest.raises(ValueError):
         extract_contours(surf, [1.5])
+
+
+@pytest.mark.parametrize(
+    "levels, polylines, message",
+    [
+        ((0.5,), (), "parallel"),
+        ((0.5, 0.7), ((((0.1, 0.2), (0.3, 0.2)),),), "parallel"),
+        ((0.5,), ((((0.1, 0.2), (1.5, 0.2)),),), "unit square"),
+        ((0.5,), ((((0.1, 0.2), (0.3, 0.2)), ((0.1, -0.1), (0.2, 0.0))),), "unit square"),
+    ],
+    ids=["no-polylines", "fewer-polylines", "x-above-1", "y-below-0"],
+)
+def test_contour_sets_refuse_unparallel_levels_and_vertices_off_the_unit_square(levels, polylines, message):
+    with pytest.raises(ValueError, match=message):
+        ContourSet(levels, polylines)
 
 
 @pytest.mark.parametrize("metric_id, ratio", [("f1", 49.0), ("precision", 7.0), ("hss", 3.0)])

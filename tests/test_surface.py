@@ -55,7 +55,7 @@ def test_accuracy_surface_symmetric_at_balance():
     assert np.array_equal(surf.values, surf.values.T)
 
 
-@pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf"), "abc", None])
 def test_build_surface_rejects_invalid_ratios(ratio):
     with pytest.raises(InvalidRatioError):
         build_surface(get_metric("f1"), ratio, GridSpec(4))
@@ -91,6 +91,12 @@ def test_surface_rejects_values_outside_unit_interval(bad):
     values[2, 1] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         MetricSurface("given", 1.0, GridSpec(4), values, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16,), (4, 4, 1)])
+def test_surface_rejects_values_of_the_wrong_shape(shape):
+    with pytest.raises(InvalidGridError, match=r"shape \(4, 4\)"):
+        MetricSurface("given", 1.0, GridSpec(4), np.full(shape, 0.25), (0.0, 1.0))
 
 
 def test_build_surface_rejects_a_metric_that_returns_nan():
