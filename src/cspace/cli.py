@@ -43,6 +43,7 @@ from .sensitivity import (
     DEFAULT_AGNOSTIC_TOL,
     RatioSchedule,
     SensitivityCurve,
+    check_tolerance,
     curve_is_agnostic,
     log_growth_check,
     sensitivity,  # noqa: F401  (not called here; perfbench/tracing.py wraps cli.sensitivity)
@@ -88,7 +89,8 @@ def _write_text(fd: int, text: str) -> None:
 
 def _write_files(files: dict[Path, str]) -> None:
     """Write every file to a temporary name beside it, then rename them all;
-    on any error remove each temporary file made.  Mode 0o666 lets the kernel
+    on any error remove each temporary file made, and let an OS error name
+    the output it failed on.  Mode 0o666 lets the kernel
     apply the umask as open() would; a temporary name's length does not
     depend on the target's, so every name the file system allows holds."""
     made: list[Path] = []
@@ -101,10 +103,12 @@ def _write_files(files: dict[Path, str]) -> None:
             _write_text(fd, text)
         for tmp, path in zip(made, files):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in made:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -189,6 +193,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
     metrics = _parse_metrics(args.metrics)
     schedule = _parse_schedule(args.ratios)
     grid = _grid(args.t, len(schedule))
+    check_tolerance(args.tol)
     out_dir = _out_dir(args)
     as_json = args.format == "json"
     names = ["sensitivity.json"] if as_json else [f"sensitivity_{m.id}.csv" for m in metrics]

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 __all__ = [
     "CspaceError",
-    "DegenerateClassError",
     "EmptyLevelsError",
-    "GridMismatchError",
     "InsufficientSamplesError",
     "InvalidGridError",
     "InvalidRatioError",
     "InvalidToleranceError",
-    "MetricMismatchError",
     "ScheduleMismatchError",
     "UnknownMetricError",
     "UsageError",
@@ -25,10 +22,6 @@ __all__ = [
 
 class CspaceError(Exception):
     """Base class for all cspace errors."""
-
-
-class DegenerateClassError(CspaceError, ValueError):
-    """A confusion matrix has an empty positive or negative class."""
 
 
 class InvalidRatioError(CspaceError, ValueError):
@@ -41,14 +34,6 @@ class InvalidToleranceError(CspaceError, ValueError):
 
 class InvalidGridError(CspaceError, ValueError):
     """A sampling grid violates its invariants (e.g. resolution < 2)."""
-
-
-class GridMismatchError(CspaceError, ValueError):
-    """Two surfaces that must share a grid do not."""
-
-
-class MetricMismatchError(CspaceError, ValueError):
-    """Two surfaces that must belong to the same metric do not."""
 
 
 class UnknownMetricError(CspaceError, KeyError):

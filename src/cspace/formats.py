@@ -20,7 +20,6 @@ from .surface import GridSpec, MetricSurface
 
 __all__ = [
     "curve_to_csv",
-    "curve_to_json_obj",
     "curves_to_json",
     "fmt9",
     "surface_from_json",
@@ -127,10 +126,9 @@ def curve_to_csv(curve: SensitivityCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_to_json_obj(curve: SensitivityCurve) -> dict:
-    return {"metric": curve.metric_id, "samples": [{"r": r, "s": s} for r, s in curve.samples]}
-
-
 def curves_to_json(curves: list[SensitivityCurve]) -> str:
-    obj = {curve.metric_id: curve_to_json_obj(curve) for curve in curves}
+    obj = {
+        curve.metric_id: {"metric": curve.metric_id, "samples": [{"r": r, "s": s} for r, s in curve.samples]}
+        for curve in curves
+    }
     return json.dumps(obj, indent=2) + "\n"

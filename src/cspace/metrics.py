@@ -11,8 +11,8 @@ so any deterministic metric becomes a function of ``(tpr, tnr, r)`` alone.
 Two matrices with equal relative forms are *relatively identical*: they
 describe the same performance on possibly different sample sizes.
 
-This module defines that representation plus a closed catalog of metrics in
-``(tpr, tnr, r)`` coordinates:
+That is why every evaluation rule here takes ``(tpr, tnr, r)``.  The module
+holds a closed catalog of metrics in those coordinates:
 
 ==========  =======================================================  ========
 id          closed form (p = 1, n = r)                               range
@@ -46,23 +46,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateClassError, InvalidRatioError, UnknownMetricError
+from .errors import InvalidRatioError, UnknownMetricError
 
 __all__ = [
-    "CountConfusion",
     "MetricDescriptor",
     "MetricFn",
-    "RelativePerformance",
-    "evaluate",
     "fbeta",
     "get_metric",
     "list_metrics",
-    "relatively_identical",
-    "to_relative",
 ]
 
 # Evaluation rule: (tpr, tnr, ratio) -> raw metric value.
-# tpr/tnr may be float64 scalars or broadcastable arrays; ratio is a scalar.
+# tpr and tnr are float64 arrays that broadcast to the block shape; ratio is
+# a float.
 MetricFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 # Above this ratio hss and doolittle switch to forms divided through by
@@ -87,96 +83,9 @@ def check_ratio(ratio: float) -> float:
     return r
 
 
-def _check_rate(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < 0.0 or v > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
-
-
-@dataclass(frozen=True)
-class RelativePerformance:
-    """A point (tpr, tnr) of the base contingency space at imbalance 1:ratio.
-
-    The base contingency space is ROC space flipped horizontally: x = tnr
-    instead of fpr, so the perfect model sits at (1, 1) and the origin (0, 0)
-    is maximally far from it.
-    """
-
-    tpr: float
-    tnr: float
-    ratio: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tpr", _check_rate(self.tpr, "tpr"))
-        object.__setattr__(self, "tnr", _check_rate(self.tnr, "tnr"))
-        object.__setattr__(self, "ratio", check_ratio(self.ratio))
-
-    @property
-    def relative_form(self) -> tuple[float, float, float, float]:
-        """The implied relative counts (tp, fn, tn, fp) with p = 1, n = ratio."""
-        return (
-            self.tpr,
-            1.0 - self.tpr,
-            self.ratio * self.tnr,
-            self.ratio * (1.0 - self.tnr),
-        )
-
-
-@dataclass(frozen=True)
-class CountConfusion:
-    """Raw integer confusion counts for a binary problem."""
-
-    tp: int
-    fn: int
-    tn: int
-    fp: int
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fn", "tn", "fp"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-
-    @property
-    def p(self) -> int:
-        """Number of positive instances."""
-        return self.tp + self.fn
-
-    @property
-    def n(self) -> int:
-        """Number of negative instances."""
-        return self.tn + self.fp
-
-
-def to_relative(c: CountConfusion) -> RelativePerformance:
-    """Convert raw counts to the relative form (tpr, tnr, ratio = n/p).
-
-    Raises DegenerateClassError when either class is empty; rates and the
-    imbalance ratio are undefined then.
-    """
-    if c.p < 1 or c.n < 1:
-        raise DegenerateClassError(
-            f"conversion needs at least one instance per class, got p={c.p}, n={c.n}"
-        )
-    return RelativePerformance(tpr=c.tp / c.p, tnr=c.tn / c.n, ratio=c.n / c.p)
-
-
-def relatively_identical(a: CountConfusion, b: CountConfusion) -> bool:
-    """True iff the two matrices have component-wise equal relative forms."""
-    ra, rb = to_relative(a), to_relative(b)
-    return ra.relative_form == rb.relative_form
-
-
 # ---------------------------------------------------------------------------
 # Evaluation rules
 # ---------------------------------------------------------------------------
-
-
-def _divide_into(num, den):
-    """num / den, written into ``den`` when it is an array (a temporary of
-    the full broadcast shape)."""
-    return np.divide(num, den, out=den) if isinstance(den, np.ndarray) else num / den
 
 
 def _where_defined(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -191,7 +100,7 @@ def _where_defined(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # Any other input takes the masked path.
     with np.errstate(divide="ignore", invalid="ignore"):
         if np.min(den) > 0.0:
-            return _divide_into(num, den)
+            return np.divide(num, den, out=den)
         out = np.divide(num, den)
     return np.where(den == 0.0, 0.0, out)
 
@@ -200,7 +109,6 @@ def _where_defined(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 # shape that an expression makes, and apply every later step to it in place:
 # the same operations in the same order as the plain expression, so the same
 # bits, with one full-shape temporary where the expression makes several.
-# On scalars (evaluate) the augmented assignments simply rebind.
 
 
 def _accuracy(tpr, tnr, r):
@@ -258,14 +166,14 @@ def _hss(tpr, tnr, r):
     den = (1.0 - tpr) + r * tnr
     den += r * tpr
     den += (r * r) * (1.0 - tnr)
-    return _divide_into(num, den)
+    return np.divide(num, den, out=den)
 
 
 def _gilbert(tpr, tnr, r):
     # tp / (tp + fp + fn); denominator equals 1 + r*(1 - tnr) >= 1.
     den = tpr + r * (1.0 - tnr)
     den += 1.0 - tpr
-    return _divide_into(tpr, den)
+    return np.divide(tpr, den, out=den)
 
 
 def _doolittle(tpr, tnr, r):
@@ -349,12 +257,3 @@ def fbeta(beta: float = 1.0) -> MetricDescriptor:
         limit = math.sqrt(sys.float_info.max)
         raise ValueError(f"beta must be at most {limit:.4g}, where beta**2 stays finite, got {beta!r}")
     return MetricDescriptor(f"fbeta({b:g})", (0.0, 1.0), _make_fbeta(b))
-
-
-def evaluate(metric: MetricDescriptor, x: RelativePerformance) -> float:
-    """Raw metric value at a point of the base contingency space.
-
-    Indeterminate points resolve to 0.0; evaluation never fails on a valid
-    RelativePerformance.
-    """
-    return float(metric.fn(np.float64(x.tpr), np.float64(x.tnr), x.ratio))

@@ -185,7 +185,14 @@ def is_agnostic(
     universally quantified property: a False result is conclusive, a True
     result certifies the schedule alone (up to ``tol``).
     """
+    check_tolerance(tol)  # before the curve is evaluated
     return curve_is_agnostic(sensitivity_curve(metric, schedule, grid), tol)
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise InvalidToleranceError unless an agnostic tolerance is positive (NaN included)."""
+    if not (tol > 0.0):
+        raise InvalidToleranceError(f"agnostic tolerance must be positive, got {tol!r}")
 
 
 def curve_is_agnostic(curve: SensitivityCurve, tol: float = DEFAULT_AGNOSTIC_TOL) -> bool:
@@ -193,8 +200,7 @@ def curve_is_agnostic(curve: SensitivityCurve, tol: float = DEFAULT_AGNOSTIC_TOL
 
     Raises InvalidToleranceError unless ``tol`` is positive (NaN included).
     """
-    if not (tol > 0.0):
-        raise InvalidToleranceError(f"agnostic tolerance must be positive, got {tol!r}")
+    check_tolerance(tol)
     return all(s <= tol for s in curve.values)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidGridError, MetricMismatchError
+from .errors import InvalidGridError
 from .metrics import MetricDescriptor, check_ratio
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "GridSpec",
     "MetricSurface",
     "build_surface",
-    "surface_delta",
 ]
 
 DEFAULT_RESOLUTION = 256
@@ -153,20 +152,3 @@ def _distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
     """Element-wise ``|a - b|``, written into ``out`` when given."""
     diff = np.subtract(a, b, out=out)
     return np.abs(diff, out=diff)
-
-
-def surface_delta(a: MetricSurface, b: MetricSurface) -> np.ndarray:
-    """Element-wise absolute difference |a - b| of two surfaces.
-
-    The surfaces must belong to the same metric (same id and rescale
-    interval) and share a grid; their ratios may differ.
-    """
-    if a.metric_id != b.metric_id or a.rescale_interval != b.rescale_interval:
-        raise MetricMismatchError(
-            f"cannot diff surfaces of different metrics: {a.metric_id!r} vs {b.metric_id!r}"
-        )
-    if a.grid != b.grid:
-        raise GridMismatchError(
-            f"cannot diff surfaces on different grids: t={a.grid.resolution} vs t={b.grid.resolution}"
-        )
-    return _distance(a.values, b.values)

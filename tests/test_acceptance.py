@@ -18,9 +18,7 @@ from test_sensitivity import GOLDEN_S_F1_49, GOLDEN_S_PRECISION_49
 from cspace import (
     GridSpec,
     RatioSchedule,
-    RelativePerformance,
     build_surface,
-    evaluate,
     get_metric,
     list_metrics,
     sensitivity,
@@ -93,15 +91,16 @@ def test_c06_count_oracle_equivalence():
     p, r = 32, 3
     n = p * r
     core = [m for m in list_metrics() if not m.extension]
+    tps = [2 * i + 1 for i in range(16)]        # p * (i + 0.5) / 16
+    tns = [3 * (2 * j + 1) for j in range(16)]  # n * (j + 0.5) / 16
+    tpr = np.array([tp / p for tp in tps])[:, None]
+    tnr = np.array([tn / n for tn in tns])[None, :]
     worst = 0.0
-    for i in range(16):
-        for j in range(16):
-            tp = 2 * i + 1          # p * (i + 0.5) / 16
-            tn = 3 * (2 * j + 1)    # n * (j + 0.5) / 16
-            fn, fp = p - tp, n - tn
-            x = RelativePerformance(tpr=tp / p, tnr=tn / n, ratio=n / p)
-            for m in core:
-                diff = abs(evaluate(m, x) - metric_from_counts(m.id, tp, fn, tn, fp))
+    for m in core:
+        values = np.broadcast_to(m.fn(tpr, tnr, n / p), (16, 16))
+        for i, tp in enumerate(tps):
+            for j, tn in enumerate(tns):
+                diff = abs(values[i, j] - metric_from_counts(m.id, tp, p - tp, tn, n - tn))
                 worst = max(worst, diff)
     ok = worst <= 1e-12
     assert report(6, ok, f"closed form vs integer counts (p=32, r=3, 16x16): max diff={worst:.3g}")

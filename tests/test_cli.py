@@ -175,9 +175,11 @@ def test_sensitivity_json_and_svg_outputs(tmp_path, monkeypatch):
     ET.fromstring((tmp_path / "curves.svg").read_text())
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "-1e-12", "-inf"])
 def test_sensitivity_invalid_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
-    code = run(tmp_path, monkeypatch, "sensitivity", "--metrics", "recall", "--ratios", "1,2", "--t", "8",
+    # The tolerance is checked before any curve is evaluated.
+    monkeypatch.setattr(cli, "sensitivity_curve", lambda *args: pytest.fail("evaluated"))
+    code = run(tmp_path, monkeypatch, "sensitivity", "--metrics", "f1,precision", "--ratios", "1,2,4", "--t", "8",
                f"--tol={tol}")
     assert code == 2
     captured = capsys.readouterr()
@@ -431,6 +433,34 @@ def test_a_failed_rename_leaves_neither_the_temporary_file_nor_the_target(tmp_pa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_to_create(path, *args):
+    raise PermissionError(13, "Permission denied", os.fspath(path))
+
+
+def _disk_full(fd, text):
+    os.close(fd)
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "owner, name, fail, message",
+    [
+        (os, "open", _refuse_to_create, "[Errno 13] Permission denied"),
+        (cli, "_write_text", _disk_full, "[Errno 28] No space left on device"),
+    ],
+    ids=["create", "write"],
+)
+def test_a_failed_write_names_the_target_not_its_temporary_file(
+    tmp_path, monkeypatch, capsys, owner, name, fail, message
+):
+    monkeypatch.setattr(owner, name, fail)
+    out = tmp_path / "sub" / "s.csv"
+    assert run(tmp_path, monkeypatch, *_SURFACE, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}: {str(out)!r}\n" and ".tmp" not in err
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
 @pytest.mark.parametrize(

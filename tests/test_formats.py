@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cspace import GridSpec, RatioSchedule, build_surface, get_metric, list_metrics, sensitivity_curve
 from cspace.formats import (
     curve_to_csv,
-    curve_to_json_obj,
     curves_to_json,
     surface_from_json,
     surface_to_csv,
@@ -208,6 +207,6 @@ def test_curve_json_objects():
     obj = json.loads(curves_to_json(curves))
     assert list(obj) == ["recall", "accuracy"]
     assert obj["recall"]["samples"][0] == {"r": 1.0, "s": 0.0}
-    single = curve_to_json_obj(curves[1])
+    single = obj["accuracy"]
     assert single["metric"] == "accuracy"
     assert len(single["samples"]) == 2

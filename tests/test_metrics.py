@@ -11,20 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
-    CountConfusion,
-    DegenerateClassError,
     GridSpec,
-    InvalidRatioError,
     MetricDescriptor,
-    RelativePerformance,
     UnknownMetricError,
     build_surface,
-    evaluate,
     fbeta,
     get_metric,
     list_metrics,
-    relatively_identical,
-    to_relative,
 )
 from cspace import metrics
 
@@ -32,57 +25,15 @@ CORE_IDS = ["accuracy", "precision", "recall", "f1", "tss", "hss", "youden_j"]
 ALL_IDS = CORE_IDS + ["gilbert", "doolittle"]
 
 
-# ---------------------------------------------------------------------------
-# Relative form
-# ---------------------------------------------------------------------------
+def at(metric, tpr, tnr, r) -> float:
+    """``metric.fn`` at one point of the base contingency space, evaluated on
+    1 x 1 arrays as grid blocks are."""
+    return float(np.broadcast_to(metric.fn(np.array([[tpr]]), np.array([[tnr]]), r), (1, 1))[0, 0])
 
 
-@pytest.mark.parametrize(
-    "counts, expected",
-    [
-        ((0, 1, 49, 0), (0.0, 1.0, 49.0)),
-        ((5, 0, 5, 0), (1.0, 1.0, 1.0)),
-        ((3, 3, 7, 7), (0.5, 0.5, 7 / 3)),
-    ],
-)
-def test_to_relative_examples(counts, expected):
-    tp, fn, tn, fp = counts
-    rp = to_relative(CountConfusion(tp=tp, fn=fn, tn=tn, fp=fp))
-    assert (rp.tpr, rp.tnr, rp.ratio) == expected
-
-
-@pytest.mark.parametrize("counts", [(0, 0, 3, 4), (1, 2, 0, 0), (0, 0, 0, 0)])
-def test_to_relative_rejects_degenerate_classes(counts):
-    tp, fn, tn, fp = counts
-    with pytest.raises(DegenerateClassError):
-        to_relative(CountConfusion(tp=tp, fn=fn, tn=tn, fp=fp))
-
-
-def test_count_confusion_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        CountConfusion(tp=-1, fn=0, tn=1, fp=1)
-
-
-def test_relative_form_expansion():
-    rp = RelativePerformance(tpr=0.25, tnr=0.75, ratio=4.0)
-    assert rp.relative_form == (0.25, 0.75, 3.0, 1.0)
-
-
-def test_relative_performance_validation():
-    with pytest.raises(ValueError):
-        RelativePerformance(tpr=1.5, tnr=0.5, ratio=1.0)
-    with pytest.raises(InvalidRatioError):
-        RelativePerformance(tpr=0.5, tnr=0.5, ratio=0.0)
-    with pytest.raises(InvalidRatioError):
-        RelativePerformance(tpr=0.5, tnr=0.5, ratio=float("nan"))
-
-
-def test_relatively_identical_under_scaling():
-    a = CountConfusion(tp=3, fn=3, tn=7, fp=7)
-    b = CountConfusion(tp=9, fn=9, tn=21, fp=21)
-    c = CountConfusion(tp=3, fn=3, tn=7, fp=8)
-    assert relatively_identical(a, b)
-    assert not relatively_identical(a, c)
+def relative(tp, fn, tn, fp) -> tuple[float, float, float]:
+    """The point (tpr, tnr, r) of a count matrix: positives scaled to 1, negatives to r = n/p."""
+    return tp / (tp + fn), tn / (tn + fp), (tn + fp) / (tp + fn)
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +54,14 @@ def test_relatively_identical_under_scaling():
     ],
 )
 def test_evaluate_examples(metric_id, point, expected):
-    value = evaluate(get_metric(metric_id), RelativePerformance(*point))
+    value = at(get_metric(metric_id), *point)
     assert value == pytest.approx(expected, abs=1e-15)
-
-
-@pytest.mark.parametrize("ratio", [0.5, 1.0, 49.0])
-def test_precision_undefined_corner_uses_policy(ratio):
-    metric = get_metric("precision")
-    assert evaluate(metric, RelativePerformance(tpr=0.0, tnr=1.0, ratio=ratio)) == 0.0
-
-
-@pytest.mark.parametrize("point", [(0.0, 1.0, 3.0), (1.0, 0.0, 3.0)])
-def test_doolittle_undefined_corners_use_policy(point):
-    metric = get_metric("doolittle")
-    assert evaluate(metric, RelativePerformance(*point)) == 0.0
 
 
 @pytest.mark.parametrize(
     "metric_id, corners", [("precision", [(0, 2)]), ("doolittle", [(0, 2), (2, 0)])]
 )
-@pytest.mark.parametrize("ratio", [0.5, 3.0, 1e120])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0, 49.0, 1e120])
 def test_policy_lands_on_zero_denominator_cells(metric_id, corners, ratio, monkeypatch):
     # The plain quotient, with no mapping of zero denominators, is NaN exactly
     # at the 0/0 corners; the metric gives 0.0 there and the quotient elsewhere.
@@ -136,8 +75,6 @@ def test_policy_lands_on_zero_denominator_cells(metric_id, corners, ratio, monke
     assert [(int(i), int(j)) for i, j in zip(*np.nonzero(undefined))] == corners
     assert np.all(values[undefined] == 0.0)
     assert np.array_equal(values[~undefined], plain[~undefined])
-    for i, j in corners:
-        assert evaluate(metric, RelativePerformance(axis[i], axis[j], ratio)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +150,14 @@ def test_fbeta_with_a_huge_beta_matches_exact_arithmetic(beta, ratio):
 def test_fbeta_one_matches_f1_bitwise():
     fb = fbeta(1.0)
     f1 = get_metric("f1")
-    for tpr, tnr, r in [(0.3, 0.8, 5.0), (0.9, 0.1, 0.25), (0.5, 0.5, 1.0)]:
-        x = RelativePerformance(tpr, tnr, r)
-        assert evaluate(fb, x) == evaluate(f1, x)
+    axis = np.linspace(0.0, 1.0, 11)
+    for r in (0.25, 1.0, 5.0, 1e120):
+        assert np.array_equal(fb.fn(axis[:, None], axis[None, :], r), f1.fn(axis[:, None], axis[None, :], r))
 
 
 def test_fbeta_two_against_counts():
     # tp=1, fn=1, tn=1, fp=1: F2 = 5*tp / (5*tp + fp + 4*fn) = 0.5
-    value = evaluate(fbeta(2.0), RelativePerformance(0.5, 0.5, 1.0))
+    value = at(fbeta(2.0), 0.5, 0.5, 1.0)
     assert value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -241,55 +178,41 @@ points_strategy = st.tuples(
 
 @given(counts=counts_strategy, k=st.integers(1, 50))
 def test_relative_identity_under_count_scaling(counts, k):
-    tp, fn, tn, fp = counts
-    x = to_relative(CountConfusion(tp=tp, fn=fn, tn=tn, fp=fp))
-    xk = to_relative(CountConfusion(tp=k * tp, fn=k * fn, tn=k * tn, fp=k * fp))
+    # Counts scaled by k are relatively identical to the originals: the same
+    # relative form, so every metric gives the same value.
+    x = relative(*counts)
+    xk = relative(*(k * c for c in counts))
     for m in list_metrics():
-        assert evaluate(m, x) == evaluate(m, xk)
+        assert at(m, *x) == at(m, *xk)
 
 
 @given(counts=counts_strategy)
 def test_count_oracle_equivalence(counts):
-    tp, fn, tn, fp = counts
-    x = to_relative(CountConfusion(tp=tp, fn=fn, tn=tn, fp=fp))
+    x = relative(*counts)
     for m in list_metrics():
-        expected = metric_from_counts(m.id, tp, fn, tn, fp)
-        assert evaluate(m, x) == pytest.approx(expected, abs=1e-12)
+        expected = metric_from_counts(m.id, *counts)
+        assert at(m, *x) == pytest.approx(expected, abs=1e-12)
 
 
 @given(point=points_strategy)
 def test_recall_independent_of_tnr_and_ratio(point):
     tpr, tnr, r = point
     recall = get_metric("recall")
-    base = evaluate(recall, RelativePerformance(tpr, 0.123, 1.0))
-    assert evaluate(recall, RelativePerformance(tpr, tnr, r)) == base == tpr
+    base = at(recall, tpr, 0.123, 1.0)
+    assert at(recall, tpr, tnr, r) == base == tpr
 
 
 @given(point=points_strategy)
 def test_raw_values_stay_in_theoretical_range(point):
-    x = RelativePerformance(*point)
     for m in list_metrics():
         lo, hi = m.theoretical_range
-        v = evaluate(m, x)
+        v = at(m, *point)
         assert lo - 1e-12 <= v <= hi + 1e-12
 
 
 @given(point=points_strategy)
 def test_tss_equals_youden_bitwise(point):
-    x = RelativePerformance(*point)
-    assert evaluate(get_metric("tss"), x) == evaluate(get_metric("youden_j"), x)
-
-
-@settings(max_examples=30)
-@given(point=points_strategy)
-def test_scalar_evaluation_matches_vectorised_path(point):
-    # evaluate() and grid evaluation must agree bit-for-bit at shared points
-    tpr, tnr, r = point
-    for m in list_metrics():
-        grid_value = float(
-            m.fn(np.float64(tpr), np.float64(tnr), float(r))
-        )
-        assert evaluate(m, RelativePerformance(tpr, tnr, r)) == grid_value
+    assert at(get_metric("tss"), *point) == at(get_metric("youden_j"), *point)
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,9 +239,8 @@ def test_large_ratio_forms_match_count_oracle(point):
     # are small there; the counts' tp*tn - fn*fp cancels when tpr + tnr is
     # near 1, so elsewhere they must agree relatively.
     tpr, tnr, r = point
-    x = RelativePerformance(tpr, tnr, r)
     cancels = abs(tpr + tnr - 1.0) < 1e-3
     for metric_id in ("hss", "doolittle"):
         expected = metric_from_counts(metric_id, tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr))
         close = pytest.approx(expected, rel=1e-9, abs=1e-12 if cancels else 0.0)
-        assert evaluate(get_metric(metric_id), x) == close
+        assert at(get_metric(metric_id), tpr, tnr, r) == close

@@ -267,9 +267,11 @@ def test_sensitive_metrics_are_not_agnostic(metric_id):
     assert not is_agnostic(get_metric(metric_id), AGNOSTIC_SCHEDULE, GridSpec(64))
 
 
-def test_is_agnostic_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        is_agnostic(get_metric("recall"), AGNOSTIC_SCHEDULE, GridSpec(16), tol=0.0)
+def test_is_agnostic_rejects_bad_tolerance(monkeypatch):
+    # The tolerance is checked before the curve is evaluated.
+    monkeypatch.setattr(sensitivity_module, "sensitivity_curve", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(InvalidToleranceError):
+        is_agnostic(get_metric("precision"), AGNOSTIC_SCHEDULE, GridSpec(16), tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.0, -1.0, float("-inf")])

@@ -5,19 +5,17 @@ import pytest
 from conftest import whole_grid_values
 
 from cspace import (
-    GridMismatchError,
     GridSpec,
     InvalidGridError,
     InvalidRatioError,
     MetricDescriptor,
-    MetricMismatchError,
     MetricSurface,
     build_surface,
     fbeta,
     get_metric,
     list_metrics,
-    surface_delta,
 )
+from cspace.surface import _distance
 
 
 @pytest.mark.parametrize("t", [0, 1, -3])
@@ -133,34 +131,20 @@ def test_rescale_maps_recall_identically():
 
 def test_surface_delta_of_identical_surfaces_is_zero():
     surf = build_surface(get_metric("f1"), 5.0, GridSpec(16))
-    delta = surface_delta(surf, surf)
+    delta = _distance(surf.values, surf.values)
     assert np.all(delta == 0.0)
 
 
 def test_surface_delta_recall_is_ratio_invariant():
     a = build_surface(get_metric("recall"), 1.0, GridSpec(64))
     b = build_surface(get_metric("recall"), 49.0, GridSpec(64))
-    assert np.all(surface_delta(a, b) == 0.0)
+    assert np.all(_distance(a.values, b.values) == 0.0)
 
 
 def test_surface_delta_precision_is_ratio_sensitive():
     a = build_surface(get_metric("precision"), 1.0, GridSpec(64))
     b = build_surface(get_metric("precision"), 49.0, GridSpec(64))
-    assert surface_delta(a, b).max() > 0.0
-
-
-def test_surface_delta_rejects_mismatched_metrics():
-    a = build_surface(get_metric("precision"), 1.0, GridSpec(8))
-    b = build_surface(get_metric("recall"), 1.0, GridSpec(8))
-    with pytest.raises(MetricMismatchError):
-        surface_delta(a, b)
-
-
-def test_surface_delta_rejects_mismatched_grids():
-    a = build_surface(get_metric("f1"), 1.0, GridSpec(8))
-    b = build_surface(get_metric("f1"), 1.0, GridSpec(16))
-    with pytest.raises(GridMismatchError):
-        surface_delta(a, b)
+    assert _distance(a.values, b.values).max() > 0.0
 
 
 @pytest.mark.parametrize("metric", list_metrics(), ids=lambda m: m.id)
