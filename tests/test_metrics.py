@@ -58,6 +58,16 @@ def test_evaluate_examples(metric_id, point, expected):
     assert value == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 49.0])
+def test_precision_undefined_corner_uses_policy(ratio):
+    assert at(get_metric("precision"), 0.0, 1.0, ratio) == 0.0
+
+
+@pytest.mark.parametrize("point", [(0.0, 1.0, 3.0), (1.0, 0.0, 3.0)])
+def test_doolittle_undefined_corners_use_policy(point):
+    assert at(get_metric("doolittle"), *point) == 0.0
+
+
 @pytest.mark.parametrize(
     "metric_id, corners", [("precision", [(0, 2)]), ("doolittle", [(0, 2), (2, 0)])]
 )
