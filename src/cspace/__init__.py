@@ -17,9 +17,7 @@ __version__ = "0.1.0"
 # package attribute from the function to the module.
 _RENDER_NAMES = frozenset(
     {
-        "ContourSet",
         "default_color_map",
-        "extract_contours",
         "render_curves_svg",
         "render_surface_pair_svg",
         "render_surface_svg",

@@ -44,7 +44,6 @@ from .sensitivity import (
     RatioSchedule,
     SensitivityCurve,
     check_tolerance,
-    curve_is_agnostic,
     log_growth_check,
     sensitivity,  # noqa: F401  (not called here; perfbench/tracing.py wraps cli.sensitivity)
     sensitivity_curve,
@@ -210,10 +209,9 @@ def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
             growth = ""
         else:
             growth = " growth=" + ("logarithmic-like" if report.logarithmic_like else "irregular")
-        if curve_is_agnostic(curve, args.tol):
-            lines.append(f"{curve.metric_id}: agnostic (tol={args.tol:g})")
-        else:
-            lines.append(f"{curve.metric_id}: sensitive max_s={max(curve.values):.9g}{growth}")
+        max_s = max(curve.values)
+        verdict = f"agnostic (tol={args.tol:g})" if max_s <= args.tol else f"sensitive max_s={max_s:.9g}{growth}"
+        lines.append(f"{curve.metric_id}: {verdict}")
     texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
     files = dict(zip(paths, texts))
     if svg is not None:
@@ -243,8 +241,7 @@ def _cmd_compare(args: argparse.Namespace) -> _Output:
     if svg is None:
         return {}, lines
     shown = [
-        SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted), grid)
-        for c in curves
+        SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted)) for c in curves
     ]
     return {svg: render_curves_svg(shown, args.log_x)}, lines
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __all__ = [
     "CspaceError",
-    "EmptyLevelsError",
     "InsufficientSamplesError",
     "InvalidGridError",
     "InvalidRatioError",
@@ -41,10 +40,6 @@ class UnknownMetricError(CspaceError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep the message plain
         return self.args[0] if self.args else ""
-
-
-class EmptyLevelsError(CspaceError, ValueError):
-    """Contour extraction was asked for an empty set of levels."""
 
 
 class ScheduleMismatchError(CspaceError, ValueError):

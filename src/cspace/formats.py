@@ -45,12 +45,12 @@ def fmt9(x: float) -> str:
 
 
 def surface_to_csv(surface: MetricSurface) -> str:
-    # Each coordinate is formatted once; a row of t lines is one template
-    # ``x0 + tail + x1 + tail + ...`` whose t value slots one %-call fills.
-    xs = [fmt9(x) for x in surface.tnr_coords.tolist()]
+    # Each coordinate is formatted once, for both axes; a row of t lines is one
+    # template ``x0 + tail + x1 + tail + ...`` whose t value slots one %-call fills.
+    xs = [fmt9(x) for x in surface.grid.centers().tolist()]
     parts = [_CSV_HEADER + "\n"]
-    for y, row in zip(surface.tpr_coords.tolist(), surface.values):
-        tail = f",{fmt9(y)},{_FMT9}\n"
+    for y, row in zip(xs, surface.values):
+        tail = f",{y},{_FMT9}\n"
         parts.append((tail.join(xs) + tail) % tuple(row.tolist()))
     return "".join(parts)
 
@@ -109,14 +109,18 @@ def surface_to_json(surface: MetricSurface) -> str:
 
 
 def surface_from_json(text: str) -> MetricSurface:
+    """Parse a surface JSON; ValueError when a field is missing or ill-typed."""
     obj = json.loads(text)
-    return MetricSurface(
-        metric_id=obj["metric"],
-        ratio=obj["ratio"],
-        grid=GridSpec(obj["t"]),
-        values=np.asarray(obj["values"], dtype=np.float64),
-        rescale_interval=(obj["rescale"][0], obj["rescale"][1]),
-    )
+    try:
+        return MetricSurface(
+            metric_id=obj["metric"],
+            ratio=obj["ratio"],
+            grid=GridSpec(obj["t"]),
+            values=np.asarray(obj["values"], dtype=np.float64),
+            rescale_interval=tuple(obj["rescale"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a surface JSON object: missing or ill-typed field ({exc})") from exc
 
 
 def curve_to_csv(curve: SensitivityCurve) -> str:

@@ -214,9 +214,18 @@ class MetricDescriptor:
     ratio_free: bool = False
 
     def __post_init__(self) -> None:
-        lo, hi = self.theoretical_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"theoretical_range must satisfy lo < hi, got {self.theoretical_range!r}")
+        check_interval("theoretical_range", self.theoretical_range)
+
+
+def check_interval(name: str, interval) -> None:
+    """Raise ValueError unless ``interval`` is two finite numbers ``lo < hi``."""
+    try:
+        lo, hi = interval
+        ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be two finite numbers with lo < hi, got {interval!r}")
 
 
 _CATALOG: tuple[MetricDescriptor, ...] = (

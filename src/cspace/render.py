@@ -31,29 +31,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyLevelsError, ScheduleMismatchError
+from .errors import ScheduleMismatchError
 from .sensitivity import SensitivityCurve
 from .surface import MetricSurface
 
 __all__ = [
     "CONTOUR_LEVELS",
-    "ContourSet",
-    "Point",
-    "Polyline",
     "default_color_map",
-    "extract_contours",
     "render_curves_svg",
     "render_surface_pair_svg",
     "render_surface_svg",
 ]
-
-Point = tuple[float, float]
-Polyline = tuple[Point, ...]
 
 # The iso-levels of every surface plot, as in the paper's figures.
 CONTOUR_LEVELS = tuple(k / 10 for k in range(11))
@@ -77,28 +69,6 @@ def default_color_map(value: float) -> tuple[int, int, int]:
                 int(round(ca[2] + f * (cb[2] - ca[2]))),
             )
     return _COLOR_STOPS[-1][1]
-
-
-@dataclass(frozen=True)
-class ContourSet:
-    """Iso-level polylines in surface coordinates (x = tnr, y = tpr).
-
-    ``polylines[k]`` belongs to ``levels[k]``.  A polyline whose first and
-    last points coincide is a closed loop; any other polyline starts and
-    ends on the boundary of the sampled lattice.
-    """
-
-    levels: tuple[float, ...]
-    polylines: tuple[tuple[Polyline, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != len(self.polylines):
-            raise ValueError("levels and polylines must be parallel")
-        for lines in self.polylines:
-            for line in lines:
-                for x, y in line:
-                    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                        raise ValueError(f"contour vertex ({x}, {y}) outside the unit square")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +111,7 @@ class _Lines(NamedTuple):
 
     Lattice edges carry integer ids on a ``t x t`` lattice: the edge from
     node (i, j) to (i, j+1) is ``i*(t-1) + j``, the edge from (i, j) to
-    (i+1, j) is ``t*(t-1) + i*t + j``, node (i, j) sitting at (xs[j], ys[i]).
+    (i+1, j) is ``t*(t-1) + i*t + j``, node (i, j) sitting at (c[j], c[i]).
     ``ids`` holds the crossed edges of every chain back to back, open chains
     (hull to hull) first and then closed loops, each group in order of its
     first id; a loop ends with its first edge again.  ``x`` and ``y`` are the
@@ -156,10 +126,8 @@ class _Lines(NamedTuple):
     n_open: int
 
 
-def _level_topology(
-    values: np.ndarray, xs: np.ndarray, ys: np.ndarray, levels: Sequence[float]
-) -> list[_Lines]:
-    """Directed chains for each of the strictly increasing ``levels``.
+def _level_topology(values: np.ndarray, c: np.ndarray, levels: Sequence[float]) -> list[_Lines]:
+    """Directed chains for each of the strictly increasing ``levels``, samples at ``c`` on both axes.
 
     One pass over the grid counts, per sample, the levels at or below it
     (its band), so ``value >= levels[k]`` exactly when ``band > k``.  Only a
@@ -233,43 +201,19 @@ def _level_topology(
         row, col = np.divmod(ids[h], t - 1)
         v0 = values[row, col]
         f = (level - v0) / (values[row, col + 1] - v0)
-        x[h] = xs[col] + f * (xs[col + 1] - xs[col])
-        y[h] = ys[row]
+        x[h] = c[col] + f * (c[col + 1] - c[col])
+        y[h] = c[row]
         row, col = np.divmod(ids[~h] - n_h, t)
         v0 = values[row, col]
         f = (level - v0) / (values[row + 1, col] - v0)
-        x[~h] = xs[col]
-        y[~h] = ys[row] + f * (ys[row + 1] - ys[row])
+        x[~h] = c[col]
+        y[~h] = c[row] + f * (c[row + 1] - c[row])
         out.append(_Lines(ids, x, y, bounds, n_open))
     return out
 
 
-def extract_contours(surface: MetricSurface, levels: Sequence[float]) -> ContourSet:
-    """Iso-level polylines of a surface at the given levels.
-
-    Vertices interpolate linearly along lattice edges, so bilinear
-    interpolation of the surface at any vertex reproduces its level.
-    Levels may come in any order and repeat.  Raises EmptyLevelsError for
-    an empty level list.
-    """
-    lv = tuple(float(v) for v in levels)
-    if not lv:
-        raise EmptyLevelsError("contour extraction needs at least one level")
-    for v in lv:
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValueError(f"contour levels must lie in [0, 1], got {v!r}")
-    distinct = sorted(set(lv))
-    topologies = _level_topology(surface.values, surface.tnr_coords, surface.tpr_coords, distinct)
-    polylines = {}
-    for v, lines in zip(distinct, topologies):
-        xl, yl = lines.x.tolist(), lines.y.tolist()
-        spans = zip(lines.bounds, lines.bounds[1:])
-        polylines[v] = tuple(tuple(zip(xl[a:b], yl[a:b])) for a, b in spans)
-    return ContourSet(levels=lv, polylines=tuple(polylines[v] for v in lv))
-
-
 def _region_polygons(
-    values: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: float, lines: _Lines
+    values: np.ndarray, c: np.ndarray, level: float, lines: _Lines
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Oriented polygons bounding the region { value >= level }.
 
@@ -281,12 +225,11 @@ def _region_polygons(
     polygons fills correctly under the nonzero rule.
     """
     t = values.shape[0]
-    x0, x1 = float(xs[0]), float(xs[-1])
-    y0, y1 = float(ys[0]), float(ys[-1])
-    # Point n + c is hull corner c, counterclockwise from the bottom-left.
+    # Point n + k is corner k of the hull [x0, x1]^2, counterclockwise from the bottom-left.
+    x0, x1 = float(c[0]), float(c[-1])
     n = lines.bounds[-1]
     px = np.concatenate((lines.x, (x0, x1, x1, x0)))
-    py = np.concatenate((lines.y, (y0, y0, y1, y1)))
+    py = np.concatenate((lines.y, (x0, x0, x1, x1)))
     spans = list(zip(lines.bounds, lines.bounds[1:]))
     closed_polys = [range(a, b - 1) for a, b in spans[lines.n_open :]]
     polys: list[Sequence[int]]
@@ -296,27 +239,26 @@ def _region_polygons(
         # outermost region when the lattice corner lies inside it.
         polys = [range(n, n + 4)] + closed_polys if bool(values[0, 0] >= level) else closed_polys
     else:
-        w = x1 - x0
-        h = y1 - y0
-        perim = 2.0 * (w + h)
+        w = x1 - x0  # the side of the hull
+        perim = 4.0 * w
         n_h = t * (t - 1)
 
-        def hull_param(c: int) -> float:
-            # Perimeter coordinate of point c, counterclockwise from the
+        def hull_param(p: int) -> float:
+            # Perimeter coordinate of point p, counterclockwise from the
             # bottom-left corner.
-            e = int(lines.ids[c])
-            x, y = float(px[c]), float(py[c])
+            e = int(lines.ids[p])
+            x, y = float(px[p]), float(py[p])
             if e < t - 1:
                 return x - x0
             if e >= n_h and (e - n_h) % t == t - 1:
-                return w + (y - y0)
+                return w + (y - x0)
             if n_h - (t - 1) <= e < n_h:
-                return w + h + (x1 - x)
+                return 2.0 * w + (x1 - x)
             if e >= n_h and (e - n_h) % t == 0:
-                return 2.0 * w + h + (y1 - y)
+                return 3.0 * w + (x1 - y)
             raise AssertionError(f"open chain endpoint on edge {e} is not on the lattice hull")
 
-        corners = ((0.0, n), (w, n + 1), (w + h, n + 2), (2.0 * w + h, n + 3))
+        corners = ((0.0, n), (w, n + 1), (2.0 * w, n + 2), (3.0 * w, n + 3))
         open_spans = spans[: lines.n_open]
         starts = [(hull_param(a), idx) for idx, (a, _) in enumerate(open_spans)]
         used = [False] * len(open_spans)
@@ -338,9 +280,9 @@ def _region_polygons(
                     ((sp - ep) % perim, idx) for sp, idx in starts if idx == seed or not used[idx]
                 )
                 passed = sorted(
-                    ((cp - ep) % perim, c) for cp, c in corners if 0.0 < (cp - ep) % perim < best_dist
+                    ((cp - ep) % perim, k) for cp, k in corners if 0.0 < (cp - ep) % perim < best_dist
                 )
-                poly.extend(c for _, c in passed)
+                poly.extend(k for _, k in passed)
                 if best_idx == seed:
                     break
                 cur = best_idx
@@ -469,14 +411,13 @@ def _title(text: str) -> str:
 
 def _surface_group(surface: MetricSurface) -> str:
     values = surface.values
-    xs = surface.tnr_coords
-    ys = surface.tpr_coords
+    c = surface.grid.centers()
     levels = CONTOUR_LEVELS
-    topologies = _level_topology(values, xs, ys, levels)
+    topologies = _level_topology(values, c, levels)
 
     parts = ["<g>", '<g id="bands" stroke="none">']
     for k, (v, lines) in enumerate(zip(levels, topologies)):
-        x, y, bounds = _region_polygons(values, xs, ys, v, lines)
+        x, y, bounds = _region_polygons(values, c, v, lines)
         if len(bounds) == 1:
             continue
         band_value = (v + levels[k + 1]) / 2.0 if k + 1 < len(levels) else v

@@ -33,7 +33,6 @@ __all__ = [
     "MAX_SCHEDULE_LENGTH",
     "RatioSchedule",
     "SensitivityCurve",
-    "curve_is_agnostic",
     "is_agnostic",
     "log_growth_check",
     "sensitivity",
@@ -118,11 +117,10 @@ DEFAULT_AGNOSTIC_SCHEDULE = RatioSchedule((2.0, 5.0, 10.0, 49.0, 100.0, 1000.0))
 
 @dataclass(frozen=True)
 class SensitivityCurve:
-    """Sampled (ratio, sensitivity) pairs for one metric on one grid."""
+    """Sampled (ratio, sensitivity) pairs for one metric."""
 
     metric_id: str
     samples: tuple[tuple[float, float], ...]
-    grid: GridSpec
 
     def __post_init__(self) -> None:
         samples = tuple((float(r), float(s)) for r, s in self.samples)
@@ -169,7 +167,7 @@ def sensitivity_curve(
             (r, 0.0 if r == 1.0 else float(np.mean(_distance(balanced, _rescaled(metric, r, grid, cr), out=cr))))
             for r in schedule
         )
-    return SensitivityCurve(metric_id=metric.id, samples=samples, grid=grid)
+    return SensitivityCurve(metric_id=metric.id, samples=samples)
 
 
 def is_agnostic(
@@ -183,25 +181,16 @@ def is_agnostic(
     True agnosticism quantifies over *every* positive ratio; this check only
     samples the given schedule, so it is a finite approximation of that
     universally quantified property: a False result is conclusive, a True
-    result certifies the schedule alone (up to ``tol``).
+    result certifies the schedule alone (up to ``tol``, inclusive).
     """
     check_tolerance(tol)  # before the curve is evaluated
-    return curve_is_agnostic(sensitivity_curve(metric, schedule, grid), tol)
+    return max(sensitivity_curve(metric, schedule, grid).values) <= tol
 
 
 def check_tolerance(tol: float) -> None:
     """Raise InvalidToleranceError unless an agnostic tolerance is positive (NaN included)."""
     if not (tol > 0.0):
         raise InvalidToleranceError(f"agnostic tolerance must be positive, got {tol!r}")
-
-
-def curve_is_agnostic(curve: SensitivityCurve, tol: float = DEFAULT_AGNOSTIC_TOL) -> bool:
-    """True when every sample of ``curve`` is at most ``tol``.
-
-    Raises InvalidToleranceError unless ``tol`` is positive (NaN included).
-    """
-    check_tolerance(tol)
-    return all(s <= tol for s in curve.values)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ sample at tpr index i (row) and tnr index j (column); storage is row-major.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidGridError
-from .metrics import MetricDescriptor, check_ratio
+from .metrics import MetricDescriptor, check_interval, check_ratio
 
 __all__ = [
     "DEFAULT_GRID",
@@ -82,16 +81,7 @@ class MetricSurface:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "ratio", check_ratio(self.ratio))
-
-    @cached_property
-    def tnr_coords(self) -> np.ndarray:
-        """x coordinates (column index j -> tnr sample)."""
-        return self.grid.centers()
-
-    @cached_property
-    def tpr_coords(self) -> np.ndarray:
-        """y coordinates (row index i -> tpr sample)."""
-        return self.grid.centers()
+        check_interval("rescale_interval", self.rescale_interval)
 
 
 def build_surface(
@@ -115,7 +105,7 @@ def build_surface(
 
 # Metrics are evaluated this many grid cells at a time (whole rows, at least
 # one), so their temporaries stay a small fixed size at every resolution.
-_BLOCK_CELLS = 2**16
+_BLOCK_CELLS = 2**15
 
 
 def _rescaled(

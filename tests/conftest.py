@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 
+import cspace
 from cspace import build_surface
+
+
+def run_fresh(code: str):
+    """The JSON a fresh interpreter prints after running ``code``, importing
+    cspace from the package this process imported."""
+    env = dict(os.environ)
+    package_root = str(Path(cspace.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def metric_from_counts(metric_id: str, tp: float, fn: float, tn: float, fp: float) -> float:
@@ -125,8 +144,7 @@ def continuum_sensitivity(metric_id: str, r: float, beta: float = 1.0) -> float:
 
 def bilinear(surface, x: float, y: float) -> float:
     """Bilinear interpolation of a surface's sample lattice at (x=tnr, y=tpr)."""
-    xs = surface.tnr_coords
-    ys = surface.tpr_coords
+    xs = ys = surface.grid.centers()
     values = surface.values
     t = len(xs)
     j = min(max(int((x - xs[0]) / (xs[1] - xs[0])), 0), t - 2)

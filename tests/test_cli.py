@@ -175,6 +175,15 @@ def test_sensitivity_json_and_svg_outputs(tmp_path, monkeypatch):
     ET.fromstring((tmp_path / "curves.svg").read_text())
 
 
+def test_sensitivity_tolerance_bound_is_inclusive(tmp_path, monkeypatch, capsys):
+    max_s = max(sensitivity_curve(get_metric("accuracy"), RatioSchedule((1.0, 2.0, 4.0)), GridSpec(8)).values)
+    below = float(np.nextafter(max_s, 0.0))
+    for tol, verdict in ((max_s, "agnostic"), (below, "sensitive")):
+        assert run(tmp_path, monkeypatch, "sensitivity", "--metrics", "accuracy", "--ratios", "1,2,4", "--t", "8",
+                   f"--tol={tol!r}") == 0
+        assert capsys.readouterr().out.startswith(f"accuracy: {verdict} ")
+
+
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "-1e-12", "-inf"])
 def test_sensitivity_invalid_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
     # The tolerance is checked before any curve is evaluated.

@@ -194,6 +194,36 @@ def test_surface_json_schema_and_exact_round_trip(f1_surface):
     assert back.grid == f1_surface.grid
 
 
+_T2_JSON = {"metric": "f1", "ratio": 2.0, "t": 2, "rescale": [0.0, 1.0], "values": [[0.0, 0.5], [0.25, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        json.dumps({k: v for k, v in _T2_JSON.items() if k != "values"}),
+        json.dumps({**_T2_JSON, "values": {}}),
+        json.dumps({**_T2_JSON, "rescale": [0]}),
+        json.dumps({**_T2_JSON, "rescale": [0, 1, 2]}),
+        json.dumps({**_T2_JSON, "rescale": 1}),
+        json.dumps({**_T2_JSON, "rescale": [1, 0]}),
+        json.dumps({**_T2_JSON, "rescale": [0, 0]}),
+        json.dumps({**_T2_JSON, "rescale": ["a", "b"]}),
+        json.dumps({**_T2_JSON, "rescale": [0, None]}),
+        json.dumps({**_T2_JSON, "rescale": [0, float("inf")]}),
+    ],
+    ids=[
+        "list", "empty-object", "no-values", "values-object", "rescale-one", "rescale-three",
+        "rescale-number", "rescale-reversed", "rescale-empty", "rescale-strings", "rescale-null", "rescale-inf",
+    ],
+)
+def test_surface_json_reader_raises_value_error_on_malformed_fields(text):
+    assert surface_from_json(json.dumps(_T2_JSON)).values.shape == (2, 2)
+    with pytest.raises(ValueError):
+        surface_from_json(text)
+
+
 def test_curve_csv_format():
     curve = sensitivity_curve(get_metric("accuracy"), RatioSchedule((1.0,)), GridSpec(8))
     assert curve_to_csv(curve) == "ratio,sensitivity\n1,0\n"

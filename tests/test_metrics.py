@@ -103,7 +103,9 @@ def test_catalog_ranges_are_proper_intervals():
         assert lo < hi
 
 
-@pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+@pytest.mark.parametrize(
+    "bounds", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0), (0.0,), ("a", "b"), None]
+)
 def test_metric_descriptor_rejects_improper_ranges(bounds):
     with pytest.raises(ValueError, match="lo < hi"):
         MetricDescriptor("bad", bounds, get_metric("f1").fn)

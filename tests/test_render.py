@@ -10,15 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
-    ContourSet,
-    EmptyLevelsError,
     GridSpec,
     MetricSurface,
     RatioSchedule,
     ScheduleMismatchError,
     SensitivityCurve,
     build_surface,
-    extract_contours,
     get_metric,
     render_curves_svg,
     render_surface_pair_svg,
@@ -30,16 +27,19 @@ from cspace.render import _SEGMENTS, _level_topology, _region_polygons, default_
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def lattice_bounds(surface):
-    xs = surface.tnr_coords
-    ys = surface.tpr_coords
-    return float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
-
-
 def on_hull(surface, point) -> bool:
-    x0, x1, y0, y1 = lattice_bounds(surface)
-    x, y = point
-    return x in (x0, x1) or y in (y0, y1)
+    c = surface.grid.centers()
+    return any(v in (c[0], c[-1]) for v in point)
+
+
+def contours(surface, levels):
+    """The polylines of ``_level_topology`` as tuples of (x, y) points, one
+    tuple of polylines per level of the strictly increasing ``levels``."""
+    out = []
+    for lines in _level_topology(surface.values, surface.grid.centers(), levels):
+        xl, yl = lines.x.tolist(), lines.y.tolist()
+        out.append(tuple(tuple(zip(xl[a:b], yl[a:b])) for a, b in zip(lines.bounds, lines.bounds[1:])))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +49,7 @@ def on_hull(surface, point) -> bool:
 
 def test_tss_balanced_contour_is_the_no_skill_line():
     surf = build_surface(get_metric("tss"), 1.0, GridSpec(64))
-    cset = extract_contours(surf, [0.5])
-    lines = cset.polylines[0]
+    (lines,) = contours(surf, [0.5])
     assert len(lines) == 1
     t = surf.grid.resolution
     assert all(abs(x + y - 1.0) <= 1.0 / t for x, y in lines[0])
@@ -59,50 +58,22 @@ def test_tss_balanced_contour_is_the_no_skill_line():
 
 def test_recall_contour_is_horizontal():
     surf = build_surface(get_metric("recall"), 7.0, GridSpec(64))
-    lines = extract_contours(surf, [0.5]).polylines[0]
+    (lines,) = contours(surf, [0.5])
     assert len(lines) == 1
     assert all(y == pytest.approx(0.5, abs=1e-12) for _, y in lines[0])
 
 
 def test_level_below_surface_minimum_is_empty():
     surf = build_surface(get_metric("recall"), 7.0, GridSpec(64))
-    assert extract_contours(surf, [0.0]).polylines[0] == ()
-
-
-def test_empty_levels_rejected():
-    surf = build_surface(get_metric("f1"), 2.0, GridSpec(8))
-    with pytest.raises(EmptyLevelsError):
-        extract_contours(surf, [])
-
-
-def test_out_of_range_levels_rejected():
-    surf = build_surface(get_metric("f1"), 2.0, GridSpec(8))
-    with pytest.raises(ValueError):
-        extract_contours(surf, [1.5])
-
-
-@pytest.mark.parametrize(
-    "levels, polylines, message",
-    [
-        ((0.5,), (), "parallel"),
-        ((0.5, 0.7), ((((0.1, 0.2), (0.3, 0.2)),),), "parallel"),
-        ((0.5,), ((((0.1, 0.2), (1.5, 0.2)),),), "unit square"),
-        ((0.5,), ((((0.1, 0.2), (0.3, 0.2)), ((0.1, -0.1), (0.2, 0.0))),), "unit square"),
-    ],
-    ids=["no-polylines", "fewer-polylines", "x-above-1", "y-below-0"],
-)
-def test_contour_sets_refuse_unparallel_levels_and_vertices_off_the_unit_square(levels, polylines, message):
-    with pytest.raises(ValueError, match=message):
-        ContourSet(levels, polylines)
+    assert contours(surf, [0.0]) == ((),)
 
 
 @pytest.mark.parametrize("metric_id, ratio", [("f1", 49.0), ("precision", 7.0), ("hss", 3.0)])
 def test_contour_vertices_interpolate_to_their_level(metric_id, ratio):
     surf = build_surface(get_metric(metric_id), ratio, GridSpec(32))
     levels = [0.1, 0.3, 0.5, 0.7, 0.9]
-    cset = extract_contours(surf, levels)
     checked = 0
-    for level, lines in zip(cset.levels, cset.polylines):
+    for level, lines in zip(levels, contours(surf, levels)):
         for line in lines:
             for x, y in line:
                 assert bilinear(surf, x, y) == pytest.approx(level, abs=1e-9)
@@ -113,9 +84,8 @@ def test_contour_vertices_interpolate_to_their_level(metric_id, ratio):
 def test_polylines_close_or_terminate_on_lattice_hull():
     # doolittle at r=1 peaks at two opposite corners: multiple open chains
     surf = build_surface(get_metric("doolittle"), 1.0, GridSpec(48))
-    cset = extract_contours(surf, [0.2, 0.5, 0.8])
     seen_any = False
-    for lines in cset.polylines:
+    for lines in contours(surf, [0.2, 0.5, 0.8]):
         for line in lines:
             seen_any = True
             closed = line[0] == line[-1]
@@ -139,12 +109,12 @@ contour_levels = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(values=quantised_grids, levels=contour_levels)
-def test_extract_contours_matches_per_cell_reference(values, levels):
+def test_level_topology_matches_per_cell_reference(values, levels):
     t = values.shape[0]
     surf = MetricSurface("synthetic", 1.0, GridSpec(t), values, (0.0, 1.0))
-    cset = extract_contours(surf, levels)
-    assert cset.levels == tuple(levels)
-    assert cset.polylines == reference_contours(values, surf.tnr_coords, surf.tpr_coords, levels)
+    distinct = sorted(set(levels))
+    c = surf.grid.centers()
+    assert contours(surf, distinct) == reference_contours(values, c, c, distinct)
 
 
 def test_segment_table_matches_the_reference_cases():
@@ -159,19 +129,9 @@ def test_segment_table_matches_the_reference_cases():
     assert (_SEGMENTS[[0, 1, 30, 31]] == -1).all()
 
 
-@pytest.mark.parametrize("levels", [[0.5, 0.2, 0.5], [1.0, 0.0, 1.0, 0.3], [0.3]])
-def test_extract_contours_takes_unsorted_and_repeated_levels(levels):
-    surf = build_surface(get_metric("doolittle"), 3.0, GridSpec(40))
-    cset = extract_contours(surf, levels)
-    assert cset.levels == tuple(levels)
-    assert cset.polylines == reference_contours(surf.values, surf.tnr_coords, surf.tpr_coords, levels)
-
-
 def test_extraction_is_deterministic():
     surf = build_surface(get_metric("f1"), 49.0, GridSpec(32))
-    a = extract_contours(surf, [0.2, 0.5])
-    b = extract_contours(surf, [0.2, 0.5])
-    assert a == b
+    assert contours(surf, [0.2, 0.5]) == contours(surf, [0.2, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +142,8 @@ def test_extraction_is_deterministic():
 def region_area(values, level) -> float:
     t = values.shape[0]
     c = (np.arange(t) + 0.5) / t
-    (lines,) = _level_topology(values, c, c, [level])
-    x, y, bounds = _region_polygons(values, c, c, level, lines)
+    (lines,) = _level_topology(values, c, [level])
+    x, y, bounds = _region_polygons(values, c, level, lines)
     return sum(shoelace(list(zip(x[a:b], y[a:b]))) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -344,7 +304,7 @@ def test_curves_svg_requires_shared_schedule():
 
 
 def test_single_point_curve_renders_marker_only():
-    curve = SensitivityCurve("accuracy", ((1.0, 0.0),), GridSpec(8))
+    curve = SensitivityCurve("accuracy", ((1.0, 0.0),))
     doc = render_curves_svg([curve])
     root = ET.fromstring(doc)
     assert not [el for el in root.iter(f"{SVG_NS}polyline") if (el.get("id") or "").startswith("series-")]

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
+from conftest import run_fresh
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,19 +14,6 @@ from cspace.render import _escape
 
 # Modules of the stdlib networking stack that xml.sax.saxutils pulls in.
 NETWORKING = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
-
-
-def run_fresh(code: str):
-    """The JSON a fresh interpreter prints after running ``code``, importing
-    cspace from the package this process imported."""
-    env = dict(os.environ)
-    package_root = str(Path(cspace.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 def test_import_and_build_load_no_networking_and_no_render():

@@ -97,6 +97,12 @@ def test_surface_rejects_values_of_the_wrong_shape(shape):
         MetricSurface("given", 1.0, GridSpec(4), np.full(shape, 0.25), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0), (0.0,), ("a", "b"), None])
+def test_surface_rejects_a_rescale_interval_that_is_not_two_finite_increasing_numbers(interval):
+    with pytest.raises(ValueError, match="lo < hi"):
+        MetricSurface("given", 1.0, GridSpec(4), np.full((4, 4), 0.25), interval)
+
+
 def test_build_surface_rejects_a_metric_that_returns_nan():
     # Clipping keeps NaN, so only the range check stands between it and a surface.
     def nan_fn(tpr, tnr, r):
@@ -112,10 +118,10 @@ def test_build_surface_is_bit_deterministic():
     assert a.values.tobytes() == b.values.tobytes()
 
 
-@pytest.mark.parametrize("t", [2, 255, 256, 257, 300, 1024])
+@pytest.mark.parametrize("t", [2, 181, 182, 255, 256, 257, 300, 1024])
 @pytest.mark.parametrize("metric", [*list_metrics(), fbeta(0.5), fbeta(3.0)], ids=lambda m: m.id)
 def test_blocked_surface_equals_the_whole_grid_oracle(metric, t):
-    # t <= 256 is one block; 257 and 300 are two, the second a short one; 1024 is 16.
+    # t <= 181 is one block; 182 to 256 are two; 257 and 300 are three; 1024 is 32.
     for ratio in (0.01, 1.0, 49.0, 1e120):
         assert np.array_equal(build_surface(metric, ratio, GridSpec(t)).values, whole_grid_values(metric, ratio, t))
 
