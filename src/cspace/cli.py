@@ -74,19 +74,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
-# _write_text hands the text to the file this many characters at a time, so
-# the encoder never holds an encoded copy of a whole large file.
-_WRITE_SLICE = 1 << 20
+def _write_text(fd: int, data: bytes) -> None:
+    """Write ``data`` to the open file ``fd`` and close it."""
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
 
 
-def _write_text(fd: int, text: str) -> None:
-    """Write ``text`` as UTF-8 to the open file ``fd`` and close it."""
-    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start : start + _WRITE_SLICE])
-
-
-def _write_files(files: dict[Path, str]) -> None:
+def _write_files(files: dict[Path, bytes]) -> None:
     """Write every file to a temporary name beside it, then rename them all;
     on any error remove each temporary file made, and let an OS error name
     the output it failed on.  Mode 0o666 lets the kernel
@@ -94,12 +88,12 @@ def _write_files(files: dict[Path, str]) -> None:
     depend on the target's, so every name the file system allows holds."""
     made: list[Path] = []
     try:
-        for path, text in files.items():
+        for path, data in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             made.append(tmp)
-            _write_text(fd, text)
+            _write_text(fd, data)
         for tmp, path in zip(made, files):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -168,7 +162,7 @@ def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     return metrics
 
 
-_Output = tuple[dict[Path, str], list[str]]  # a command's files to write, lines to print
+_Output = tuple[dict[Path, bytes], list[str]]  # a command's files to write, lines to print
 
 
 def _cmd_surface(args: argparse.Namespace) -> _Output:
@@ -181,7 +175,7 @@ def _cmd_surface(args: argparse.Namespace) -> _Output:
         out = _target("--out", args.out)
     surf = build_surface(metric, args.ratio, grid)
     # Built per call, so that writers patched after import are the ones used.
-    writers = {"csv": surface_to_csv, "json": surface_to_json, "svg": render_surface_svg}
+    writers = {"csv": surface_to_csv, "json": surface_to_json, "svg": lambda s: render_surface_svg(s).encode()}
     vals = surf.values
     line = f"surface metric={metric.id} r={surf.ratio:g} t={args.t} min={np.min(vals):.9g} "
     line += f"max={np.max(vals):.9g} mean={np.mean(vals):.9g} -> {out}"
@@ -212,10 +206,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
         max_s = max(curve.values)
         verdict = f"agnostic (tol={args.tol:g})" if max_s <= args.tol else f"sensitive max_s={max_s:.9g}{growth}"
         lines.append(f"{curve.metric_id}: {verdict}")
-    texts = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
-    files = dict(zip(paths, texts))
+    data = [curves_to_json(curves)] if as_json else [curve_to_csv(curve) for curve in curves]
+    files = dict(zip(paths, data))
     if svg is not None:
-        files[svg] = render_curves_svg(curves, args.log_x)
+        files[svg] = render_curves_svg(curves, args.log_x).encode()
     return files, lines
 
 
@@ -243,7 +237,7 @@ def _cmd_compare(args: argparse.Namespace) -> _Output:
     shown = [
         SensitivityCurve(c.metric_id, tuple(p for p in c.samples if p[0] in plotted)) for c in curves
     ]
-    return {svg: render_curves_svg(shown, args.log_x)}, lines
+    return {svg: render_curves_svg(shown, args.log_x).encode()}, lines
 
 
 # The figures reproduce writes, in the order of their texts; manifest.json follows.
@@ -280,7 +274,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> _Output:
         "version": __version__,
     }
     texts.append(json.dumps(manifest, indent=2) + "\n")
-    return dict(zip(paths, texts)), [f"wrote {path}" for path in paths]
+    return {path: text.encode() for path, text in zip(paths, texts)}, [f"wrote {path}" for path in paths]
 
 
 # Option values that argparse (through its private negative-number matcher,

@@ -5,11 +5,13 @@ order (tpr index outer, tnr index inner), all numbers printed with 9
 significant digits.  Surface JSON carries full metadata and full-precision
 values: ``{"metric", "ratio", "t", "rescale", "values"}``.  Curve CSV:
 header ``ratio,sensitivity``; curve JSON: ``{"metric", "samples"}`` with
-``{"r", "s"}`` sample objects.
+``{"r", "s"}`` sample objects.  Every writer returns the file's bytes, which
+are ASCII; the readers take text.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -21,7 +23,6 @@ from .surface import GridSpec, MetricSurface
 __all__ = [
     "curve_to_csv",
     "curves_to_json",
-    "fmt9",
     "surface_from_json",
     "surface_to_csv",
     "surface_to_json",
@@ -29,30 +30,27 @@ __all__ = [
 ]
 
 
-# The one spelling of the 9-digit format.  For every float, "%.9g" % x is the
-# string format(x, ".9g") gives; the %-operator form lets one C-level format
-# call fill a whole row of a CSV template.
-_FMT9 = "%.9g"
+# The one spelling of the 9-digit format.  For every float, b"%.9g" % x is the
+# ASCII of format(x, ".9g"); the %-operator form lets one C-level format call
+# fill a whole row of a CSV template.
+_FMT9 = b"%.9g"
 _CSV_HEADER = "tnr,tpr,value"
 # The CSV reader splits the text into lines one block of about this many
 # characters at a time, so only one block's line objects are alive at once.
 _READ_BLOCK = 1 << 16
 
 
-def fmt9(x: float) -> str:
-    """A float at 9 significant digits (round-trip error below 1e-8 on [0,1])."""
-    return _FMT9 % float(x)
-
-
-def surface_to_csv(surface: MetricSurface) -> str:
+def surface_to_csv(surface: MetricSurface) -> bytes:
     # Each coordinate is formatted once, for both axes; a row of t lines is one
-    # template ``x0 + tail + x1 + tail + ...`` whose t value slots one %-call fills.
-    xs = [fmt9(x) for x in surface.grid.centers().tolist()]
-    parts = [_CSV_HEADER + "\n"]
+    # template ``x0 + tail + x1 + tail + ...`` whose t value slots one %-call
+    # fills.  Rows go into one buffer, so the file's bytes exist once.
+    xs = [_FMT9 % x for x in surface.grid.centers().tolist()]
+    out = io.BytesIO()
+    out.write(_CSV_HEADER.encode() + b"\n")
     for y, row in zip(xs, surface.values):
-        tail = f",{y},{_FMT9}\n"
-        parts.append((tail.join(xs) + tail) % tuple(row.tolist()))
-    return "".join(parts)
+        tail = b"," + y + b"," + _FMT9 + b"\n"
+        out.write((tail.join(xs) + tail) % tuple(row.tolist()))
+    return out.getvalue()
 
 
 def _lines(text: str):
@@ -86,7 +84,7 @@ def surface_values_from_csv(text: str) -> np.ndarray:
     return values.reshape(t, t)
 
 
-def surface_to_json(surface: MetricSurface) -> str:
+def surface_to_json(surface: MetricSurface) -> bytes:
     # json.dumps(indent=2) lays the matrix out one number per line; the
     # values block is built in that layout from each row's float reprs,
     # which is what json writes for finite floats (surface values lie in [0, 1]).
@@ -100,18 +98,22 @@ def surface_to_json(surface: MetricSurface) -> str:
         },
         indent=2,
     )
-    rows = ["    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in surface.values]
-    # The head and the tail ride on the first and last rows, so the text is
-    # made by one join.
-    rows[0] = head[: -len("]\n}")] + "\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+    out = io.BytesIO()
+    out.write(head[: -len("]\n}")].encode())
+    sep = "\n"
+    for row in surface.values:
+        out.write((sep + "    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]").encode())
+        sep = ",\n"
+    out.write(b"\n  ]\n}\n")
+    return out.getvalue()
 
 
 def surface_from_json(text: str) -> MetricSurface:
     """Parse a surface JSON; ValueError when a field is missing or ill-typed."""
     obj = json.loads(text)
     try:
+        if not isinstance(obj["metric"], str):
+            raise TypeError(f"metric must be a string, got {obj['metric']!r}")
         return MetricSurface(
             metric_id=obj["metric"],
             ratio=obj["ratio"],
@@ -123,16 +125,14 @@ def surface_from_json(text: str) -> MetricSurface:
         raise ValueError(f"not a surface JSON object: missing or ill-typed field ({exc})") from exc
 
 
-def curve_to_csv(curve: SensitivityCurve) -> str:
-    lines = ["ratio,sensitivity"]
-    for r, s in curve.samples:
-        lines.append(f"{fmt9(r)},{fmt9(s)}")
-    return "\n".join(lines) + "\n"
+def curve_to_csv(curve: SensitivityCurve) -> bytes:
+    row = _FMT9 + b"," + _FMT9 + b"\n"
+    return b"ratio,sensitivity\n" + b"".join(row % sample for sample in curve.samples)
 
 
-def curves_to_json(curves: list[SensitivityCurve]) -> str:
+def curves_to_json(curves: list[SensitivityCurve]) -> bytes:
     obj = {
         curve.metric_id: {"metric": curve.metric_id, "samples": [{"r": r, "s": s} for r, s in curve.samples]}
         for curve in curves
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return (json.dumps(obj, indent=2) + "\n").encode()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -498,6 +499,31 @@ def test_a_failure_in_the_last_write_leaves_no_file_and_prints_nothing(tmp_path,
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (out, err)
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB, as Linux gives it")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_large_surface_write_raises_the_peak_rss_by_about_one_file(tmp_path, fmt):
+    # The writer builds the file's bytes once and they are written as they
+    # are: no joined text beside its parts, no encoded copy.  The rise also
+    # holds the 8 MiB surface and its evaluation blocks.  Linux carries
+    # ru_maxrss across fork and exec, so the measured interpreter is started
+    # from a small one, not from this process, whose peak would hide its own.
+    measured = (
+        "import contextlib, io, json, resource\n"
+        "import cspace.cli as cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"argv = ['surface', '--metric', 'hss', '--ratio', '5', '--t', '1024', '--format', '{fmt}']\n"
+        f"argv += ['--out', {str(tmp_path / ('s.' + fmt))!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(argv)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps({'status': status, 'rise': 1024 * (after - before)}))\n"
+    )
+    out = run_fresh(f"import subprocess, sys\nsubprocess.run([sys.executable, '-c', {measured!r}], check=True)\n")
+    size = (tmp_path / f"s.{fmt}").stat().st_size
+    assert out["status"] == 0
+    assert out["rise"] <= 1.6 * size, (out["rise"] / size, size)
 
 
 def test_an_output_name_of_the_longest_length_the_file_system_allows_is_written(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def f1_surface():
 
 
 def test_surface_csv_shape_and_header(f1_surface):
-    text = surface_to_csv(f1_surface)
+    text = surface_to_csv(f1_surface).decode("ascii")
     lines = text.strip().split("\n")
     assert lines[0] == "tnr,tpr,value"
     assert len(lines) == 1 + 16 * 16
@@ -35,7 +36,7 @@ def test_surface_csv_shape_and_header(f1_surface):
 
 
 def test_surface_csv_round_trip_within_print_precision(f1_surface):
-    values = surface_values_from_csv(surface_to_csv(f1_surface))
+    values = surface_values_from_csv(surface_to_csv(f1_surface).decode("ascii"))
     assert values.shape == (16, 16)
     assert np.max(np.abs(values - f1_surface.values)) < 1e-8
 
@@ -47,8 +48,8 @@ def test_surface_csv_parser_rejects_garbage():
         surface_values_from_csv("tnr,tpr,value\n0.1,0.1,0.5\n0.3,0.1,0.5\n")
 
 
-# sha256 of (surface_to_csv, surface_to_json) output, pinned from the per-cell
-# writers; any change to either writer must keep these bytes.
+# sha256 of the bytes surface_to_csv and surface_to_json return, pinned from
+# the per-cell writers; any change to either writer must keep these bytes.
 GOLDEN_SHA256 = {
     ("f1", 49.0, 2): (
         "dabf8987536bf72866d91fd5166138d8362ad93e86e449e4aa7014c15b306f14",
@@ -86,10 +87,24 @@ def test_surface_writers_keep_golden_bytes(case):
     metric_id, ratio, t = case
     surface = build_surface(get_metric(metric_id), ratio, GridSpec(t))
     digests = tuple(
-        hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for text in (surface_to_csv(surface), surface_to_json(surface))
+        hashlib.sha256(data).hexdigest() for data in (surface_to_csv(surface), surface_to_json(surface))
     )
     assert digests == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("writer", [surface_to_csv, surface_to_json], ids=["csv", "json"])
+def test_surface_writers_hold_one_copy_of_their_output(writer):
+    # The bytes are built once, row by row: the traced peak is the output plus
+    # a row's temporaries and the buffer's slack, not a text and its copy.
+    surface = build_surface(get_metric("hss"), 5.0, GridSpec(512))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        data = writer(surface)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(data), (peak, len(data))
 
 
 surface_cases = st.builds(
@@ -109,7 +124,7 @@ def test_surface_csv_matches_per_cell_oracle(surface):
     for i, y in enumerate(centers):
         for j, x in enumerate(centers):
             lines.append(",".join(format(v, ".9g") for v in (x, y, float(surface.values[i, j]))))
-    assert surface_to_csv(surface) == "\n".join(lines) + "\n"
+    assert surface_to_csv(surface) == ("\n".join(lines) + "\n").encode("ascii")
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +137,7 @@ def test_surface_json_matches_indented_dump_oracle(surface):
         "rescale": list(surface.rescale_interval),
         "values": [[float(v) for v in row] for row in surface.values],
     }
-    assert surface_to_json(surface) == json.dumps(obj, indent=2) + "\n"
+    assert surface_to_json(surface) == (json.dumps(obj, indent=2) + "\n").encode("ascii")
 
 
 HEADER = "tnr,tpr,value\n"
@@ -168,8 +183,9 @@ def test_surface_csv_parser_raises_value_error(text):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tail", ["", "\n", "\n\n\n", "  \n\t\n"], ids=["none", "one", "three", "spaces"])
 def test_surface_csv_parser_accepts_blank_trailing_lines(f1_surface, tail):
-    values = surface_values_from_csv(surface_to_csv(f1_surface) + tail)
-    assert np.array_equal(values, surface_values_from_csv(surface_to_csv(f1_surface)))
+    text = surface_to_csv(f1_surface).decode("ascii")
+    values = surface_values_from_csv(text + tail)
+    assert np.array_equal(values, surface_values_from_csv(text))
     assert values.shape == (16, 16)
 
 
@@ -182,7 +198,7 @@ def test_surface_csv_parser_reads_crlf_and_t2():
 
 
 def test_surface_json_schema_and_exact_round_trip(f1_surface):
-    text = surface_to_json(f1_surface)
+    text = surface_to_json(f1_surface).decode("ascii")
     obj = json.loads(text)
     assert list(obj) == ["metric", "ratio", "t", "rescale", "values"]
     assert obj["metric"] == "f1"
@@ -212,10 +228,13 @@ _T2_JSON = {"metric": "f1", "ratio": 2.0, "t": 2, "rescale": [0.0, 1.0], "values
         json.dumps({**_T2_JSON, "rescale": ["a", "b"]}),
         json.dumps({**_T2_JSON, "rescale": [0, None]}),
         json.dumps({**_T2_JSON, "rescale": [0, float("inf")]}),
+        json.dumps({**_T2_JSON, "metric": 5}),
+        json.dumps({**_T2_JSON, "metric": None}),
     ],
     ids=[
         "list", "empty-object", "no-values", "values-object", "rescale-one", "rescale-three",
         "rescale-number", "rescale-reversed", "rescale-empty", "rescale-strings", "rescale-null", "rescale-inf",
+        "metric-number", "metric-null",
     ],
 )
 def test_surface_json_reader_raises_value_error_on_malformed_fields(text):
@@ -226,7 +245,7 @@ def test_surface_json_reader_raises_value_error_on_malformed_fields(text):
 
 def test_curve_csv_format():
     curve = sensitivity_curve(get_metric("accuracy"), RatioSchedule((1.0,)), GridSpec(8))
-    assert curve_to_csv(curve) == "ratio,sensitivity\n1,0\n"
+    assert curve_to_csv(curve) == b"ratio,sensitivity\n1,0\n"
 
 
 def test_curve_json_objects():
@@ -234,7 +253,7 @@ def test_curve_json_objects():
         sensitivity_curve(get_metric(mid), RatioSchedule((1.0, 2.0)), GridSpec(8))
         for mid in ("recall", "accuracy")
     ]
-    obj = json.loads(curves_to_json(curves))
+    obj = json.loads(curves_to_json(curves).decode("ascii"))
     assert list(obj) == ["recall", "accuracy"]
     assert obj["recall"]["samples"][0] == {"r": 1.0, "s": 0.0}
     single = obj["accuracy"]

@@ -390,6 +390,35 @@ def test_grid_s_is_the_difference_of_surface_means(t, metric_id, log_r, below, b
     assert abs(sensitivity(metric, r, grid) - abs(means[0] - means[1])) <= 1e-14
 
 
+# Class swap: C_{1/r} is C_r transposed (accuracy, hss, doolittle) or
+# reflected and complemented (precision), and C_1 maps onto itself, so each
+# cell's |C_1 - C_{1/r}| is one of the |C_1 - C_r| up to rounding, and
+# s(1/r) = s(r).  The surface identities are checked in test_surface.py; the
+# largest gap seen here over t <= 1024 and r up to 1e8 is 1.7e-16.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric_id=st.sampled_from(["accuracy", "hss", "doolittle", "precision"]),
+    t=st.integers(2, 1024),
+    log_r=st.floats(0.01, 8.0, allow_nan=False),
+)
+def test_sensitivity_below_balance_equals_sensitivity_above_it(metric_id, t, log_r):
+    r = 10.0**log_r
+    below, above = sensitivity_curve(get_metric(metric_id), RatioSchedule((1.0 / r, r)), GridSpec(t)).values
+    assert abs(below - above) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "metric_id, below, above", [("f1", 0.0571, 0.0782), ("gilbert", 0.0589, 0.0719)]
+)
+def test_f1_and_gilbert_have_no_class_swap_identity(metric_id, below, above):
+    # Neither is symmetric in the two classes: at t=256, s(1/2) and s(2)
+    # differ by 0.013 or more.
+    s_half, s_two = sensitivity_curve(get_metric(metric_id), RatioSchedule((0.5, 2.0)), GridSpec(256)).values
+    assert (s_half, s_two) == (pytest.approx(below, abs=5e-5), pytest.approx(above, abs=5e-5))
+
+
 # ---------------------------------------------------------------------------
 # The per-ratio loop against the surface-by-surface definition
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import whole_grid_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspace import (
     GridSpec,
@@ -51,6 +53,43 @@ def test_tss_surface_rescaling_at_t2():
 def test_accuracy_surface_symmetric_at_balance():
     surf = build_surface(get_metric("accuracy"), 1.0, GridSpec(16))
     assert np.array_equal(surf.values, surf.values.T)
+
+
+# Swapping the classes maps tpr <-> tnr and 1:r to 1:(1/r); both grid axes
+# sample the same centres.  Accuracy, hss and doolittle are symmetric under the
+# swap, so C_{1/r} = C_r^T, to a few ulps of evaluation rounding.  Precision
+# obeys P(tpr, tnr, 1/r) = 1 - P(1 - tnr, 1 - tpr, r), so
+# C_{1/r}[i][j] = 1 - C_r[t-1-j][t-1-i]; there 1 - c_k and c_{t-1-k} differ by
+# up to an ulp, which precision's slope (at most t/2 at the grid's edge cells)
+# amplifies, so its tolerance grows with t.
+def _class_swap_error(metric_id: str, ratio: float, t: int) -> float:
+    """The largest cell gap between C_{1/r} and the class-swapped C_r."""
+    grid = GridSpec(t)
+    inverse = build_surface(get_metric(metric_id), 1.0 / ratio, grid).values
+    direct = build_surface(get_metric(metric_id), ratio, grid).values
+    swapped = 1.0 - direct[::-1, ::-1].T if metric_id == "precision" else direct.T
+    return float(np.max(np.abs(inverse - swapped)))
+
+
+def _class_swap_tol(metric_id: str, t: int) -> float:
+    return 1e-15 + 1e-16 * t if metric_id == "precision" else 2e-15
+
+
+@pytest.mark.parametrize("metric_id", ["accuracy", "hss", "doolittle", "precision"])
+@pytest.mark.parametrize("t", [7, 256, 1000])
+@pytest.mark.parametrize("ratio", [2.0, 49.0, 1000.0, 3.7e5])
+def test_surfaces_below_balance_are_the_class_swapped_surfaces_above_it(metric_id, t, ratio):
+    assert _class_swap_error(metric_id, ratio, t) <= _class_swap_tol(metric_id, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric_id=st.sampled_from(["accuracy", "hss", "doolittle", "precision"]),
+    t=st.integers(2, 1024),
+    log_r=st.floats(-8.0, 8.0, allow_nan=False),
+)
+def test_class_swap_identities_hold_at_any_resolution_and_ratio(metric_id, t, log_r):
+    assert _class_swap_error(metric_id, 10.0**log_r, t) <= _class_swap_tol(metric_id, t)
 
 
 @pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf"), "abc", None])
