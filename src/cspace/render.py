@@ -112,11 +112,11 @@ class _Lines(NamedTuple):
     Lattice edges carry integer ids on a ``t x t`` lattice: the edge from
     node (i, j) to (i, j+1) is ``i*(t-1) + j``, the edge from (i, j) to
     (i+1, j) is ``t*(t-1) + i*t + j``, node (i, j) sitting at (c[j], c[i]).
-    ``ids`` holds the crossed edges of every chain back to back, open chains
-    (hull to hull) first and then closed loops, each group in order of its
-    first id; a loop ends with its first edge again.  ``x`` and ``y`` are the
-    crossing points on those edges, and chain c spans
-    ``bounds[c]:bounds[c + 1]``.
+    ``ids`` holds the crossed edges of every chain back to back: the
+    ``n_open`` open chains (hull to hull) in order of their first id, then
+    the closed loops in order of their smallest id, each loop starting and
+    ending on that edge.  ``x`` and ``y`` are the crossing points on those
+    edges, and chain c spans ``bounds[c]:bounds[c + 1]``.
     """
 
     ids: np.ndarray
@@ -133,6 +133,12 @@ def _level_topology(values: np.ndarray, c: np.ndarray, levels: Sequence[float]) 
     (its band), so ``value >= levels[k]`` exactly when ``band > k``.  Only a
     block whose corners span more than one band is crossed by any level; the
     level-by-level work touches those candidate blocks alone.
+
+    Every edge starts at most one segment and ends at most one, so the
+    chains are disjoint.  One walk follows them, from each head (an edge that
+    ends no segment) in id order, then from each edge not yet taken in order.
+    It stops at an edge that starts no segment: the hull edge ending an open
+    chain, or the first edge of a loop, taken when the loop's walk began.
     """
     t = values.shape[0]
     n_h = t * (t - 1)  # the number of horizontal edges, and the first vertical id
@@ -167,48 +173,31 @@ def _level_topology(values: np.ndarray, c: np.ndarray, levels: Sequence[float]) 
                 np.take_along_axis(cell_edges[two], pairs[two, 1], axis=1),
             )
         )
-        starts, ends = segments[:, 0], segments[:, 1]
 
-        # Every edge starts at most one segment and ends at most one, so the
-        # chains are unique; walk them in order of their first edge id.
-        ends_list = ends.tolist()
-        nxt = dict(zip(starts.tolist(), ends_list))
+        nxt = dict(zip(segments[:, 0].tolist(), segments[:, 1].tolist()))
+        heads = nxt.keys() - set(nxt.values())
         path: list[int] = []
         bounds = [0]
-        for k0 in sorted(nxt.keys() - set(ends_list)):
-            e = k0
-            path.append(e)
-            while e in nxt:
-                e = nxt.pop(e)
-                path.append(e)
-            bounds.append(len(path))
-        n_open = len(bounds) - 1
-        for k0 in sorted(nxt):
-            if k0 not in nxt:
-                continue
-            path.append(k0)
-            e = nxt.pop(k0)
-            while e != k0:
-                path.append(e)
-                e = nxt.pop(e)
-            path.append(k0)
-            bounds.append(len(path))
+        for group in (heads, nxt):  # nxt holds only the loops once the heads are walked
+            for e in sorted(group):
+                if e in nxt:
+                    path.append(e)
+                    while e in nxt:
+                        e = nxt.pop(e)
+                        path.append(e)
+                    bounds.append(len(path))
 
+        # Edge e runs from sample a to sample b = a + 1 (horizontal) or a + t
+        # (vertical); along the other axis the two samples share a coordinate.
         ids = np.array(path, dtype=np.intp)
-        x = np.empty(len(ids))
-        y = np.empty(len(ids))
         h = ids < n_h
-        row, col = np.divmod(ids[h], t - 1)
-        v0 = values[row, col]
-        f = (level - v0) / (values[row, col + 1] - v0)
-        x[h] = c[col] + f * (c[col + 1] - c[col])
-        y[h] = c[row]
-        row, col = np.divmod(ids[~h] - n_h, t)
-        v0 = values[row, col]
-        f = (level - v0) / (values[row + 1, col] - v0)
-        x[~h] = c[col]
-        y[~h] = c[row] + f * (c[row + 1] - c[row])
-        out.append(_Lines(ids, x, y, bounds, n_open))
+        a = np.where(h, ids + ids // (t - 1), ids - n_h)
+        b = a + np.where(h, 1, t)
+        f = (level - flat[a]) / (flat[b] - flat[a])
+        (ya, xa), (yb, xb) = np.divmod(a, t), np.divmod(b, t)
+        x = c[xa] + f * (c[xb] - c[xa])
+        y = c[ya] + f * (c[yb] - c[ya])
+        out.append(_Lines(ids, x, y, bounds, len(heads)))
     return out
 
 
@@ -220,74 +209,54 @@ def _region_polygons(
     Returned like the chains of ``lines``: the points of every polygon back
     to back, polygon c spanning ``bounds[c]:bounds[c + 1]``.  Closed chains
     are kept as-is (counterclockwise around the region, clockwise around
-    holes).  Open chains are completed counterclockwise along the lattice
-    hull, inserting hull corners as they are passed, so the full set of
-    polygons fills correctly under the nonzero rule.
+    holes).  One walk along the lattice hull closes the open chains: from a
+    chain's end it runs counterclockwise to the nearest untaken chain start
+    (the lowest index on a tie), adding the hull corners it passes, until it
+    is back at its first chain.  With no open chain, the hull rectangle bounds
+    the region if the lattice corner lies in it.  The polygons fill correctly
+    under the nonzero rule.
     """
     t = values.shape[0]
     # Point n + k is corner k of the hull [x0, x1]^2, counterclockwise from the bottom-left.
     x0, x1 = float(c[0]), float(c[-1])
+    w = x1 - x0  # the side of the hull
+    perim = 4.0 * w
     n = lines.bounds[-1]
     px = np.concatenate((lines.x, (x0, x1, x1, x0)))
     py = np.concatenate((lines.y, (x0, x0, x1, x1)))
     spans = list(zip(lines.bounds, lines.bounds[1:]))
-    closed_polys = [range(a, b - 1) for a, b in spans[lines.n_open :]]
-    polys: list[Sequence[int]]
+    open_spans = spans[: lines.n_open]
+    polys: list[Sequence[int]] = [range(n, n + 4)] if not open_spans and values[0, 0] >= level else []
 
-    if not lines.n_open:
-        # Interior loops only (or none); the hull rectangle itself bounds the
-        # outermost region when the lattice corner lies inside it.
-        polys = [range(n, n + 4)] + closed_polys if bool(values[0, 0] >= level) else closed_polys
-    else:
-        w = x1 - x0  # the side of the hull
-        perim = 4.0 * w
-        n_h = t * (t - 1)
+    def hull_param(p: int) -> float:
+        # Perimeter coordinate of point p, counterclockwise from the
+        # bottom-left corner.  An open chain ends on a hull edge: in the first
+        # row, else in the last row, else in the last or first column.
+        e = int(lines.ids[p])
+        if e < t - 1:
+            return float(px[p]) - x0
+        if e < t * (t - 1):
+            return 2.0 * w + (x1 - float(px[p]))
+        return w + (float(py[p]) - x0) if e % t else 3.0 * w + (x1 - float(py[p]))
 
-        def hull_param(p: int) -> float:
-            # Perimeter coordinate of point p, counterclockwise from the
-            # bottom-left corner.
-            e = int(lines.ids[p])
-            x, y = float(px[p]), float(py[p])
-            if e < t - 1:
-                return x - x0
-            if e >= n_h and (e - n_h) % t == t - 1:
-                return w + (y - x0)
-            if n_h - (t - 1) <= e < n_h:
-                return 2.0 * w + (x1 - x)
-            if e >= n_h and (e - n_h) % t == 0:
-                return 3.0 * w + (x1 - y)
-            raise AssertionError(f"open chain endpoint on edge {e} is not on the lattice hull")
-
-        corners = ((0.0, n), (w, n + 1), (2.0 * w, n + 2), (3.0 * w, n + 3))
-        open_spans = spans[: lines.n_open]
-        starts = [(hull_param(a), idx) for idx, (a, _) in enumerate(open_spans)]
-        used = [False] * len(open_spans)
-        polys = []
-
-        for seed in range(len(open_spans)):
-            if used[seed]:
-                continue
-            poly: list[int] = []
-            cur = seed
-            while True:
-                a, b = open_spans[cur]
-                used[cur] = True
-                poly.extend(range(a, b))
-                ep = hull_param(b - 1)
-                # Next region entry counterclockwise along the hull, the lowest
-                # index on a tie; the seed is always a candidate.
-                best_dist, best_idx = min(
-                    ((sp - ep) % perim, idx) for sp, idx in starts if idx == seed or not used[idx]
-                )
-                passed = sorted(
-                    ((cp - ep) % perim, k) for cp, k in corners if 0.0 < (cp - ep) % perim < best_dist
-                )
-                poly.extend(k for _, k in passed)
-                if best_idx == seed:
-                    break
-                cur = best_idx
-            polys.append(poly)
-        polys += closed_polys
+    corners = ((0.0, n), (w, n + 1), (2.0 * w, n + 2), (3.0 * w, n + 3))
+    starts = [(hull_param(a), idx) for idx, (a, _) in enumerate(open_spans)]
+    used = [False] * len(open_spans)
+    for seed in range(len(open_spans)):
+        if used[seed]:
+            continue
+        poly: list[int] = []
+        cur = seed
+        while not used[cur]:
+            a, b = open_spans[cur]
+            used[cur] = True
+            poly.extend(range(a, b))
+            ep = hull_param(b - 1)
+            # The seed is always a candidate, so the walk ends back at it.
+            dist, cur = min(((sp - ep) % perim, idx) for sp, idx in starts if idx == seed or not used[idx])
+            poly += [k for d, k in sorted(((cp - ep) % perim, k) for cp, k in corners) if 0.0 < d < dist]
+        polys.append(poly)
+    polys += [range(a, b - 1) for a, b in spans[lines.n_open :]]
 
     idx = np.fromiter(itertools.chain.from_iterable(polys), dtype=np.intp)
     return px[idx], py[idx], list(itertools.accumulate(map(len, polys), initial=0))
@@ -508,8 +477,9 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], log_x: bool = False) -
         pts = [(sx(r), _py(s)) for r, s in curve.samples]
         if len(pts) > 1:
             attr = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+            series_id = _escape(curve.metric_id).replace('"', "&quot;")  # inside a quoted attribute
             parts.append(
-                f'<polyline id="series-{_escape(curve.metric_id)}" points="{attr}" '
+                f'<polyline id="series-{series_id}" points="{attr}" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         for x, y in pts:

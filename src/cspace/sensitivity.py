@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
-from .surface import DEFAULT_GRID, GridSpec, _distance, _rescaled, build_surface
+from .surface import DEFAULT_GRID, GridSpec, _distance, _matrix, _rescaled, build_surface
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -162,7 +162,7 @@ def sensitivity_curve(
     else:
         balanced = build_surface(metric, 1.0, grid).values
         # One Cr array for the whole curve; |C1 - Cr| overwrites it in place.
-        cr = np.empty(balanced.shape)
+        cr = _matrix(grid.resolution)
         samples = tuple(
             (r, 0.0 if r == 1.0 else float(np.mean(_distance(balanced, _rescaled(metric, r, grid, cr), out=cr))))
             for r in schedule

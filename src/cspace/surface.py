@@ -15,6 +15,8 @@ sample at tpr index i (row) and tnr index j (column); storage is row-major.
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -103,6 +105,29 @@ def build_surface(
     )
 
 
+# A t x t matrix of at least this many bytes (t >= 725) gets a memory map of
+# its own where huge pages can be asked for (Linux).
+_MAPPED_BYTES = 1 << 22
+
+
+def _matrix(t: int) -> np.ndarray:
+    """A fresh t x t float64 matrix, as uninitialised as ``np.empty((t, t))``.
+
+    From _MAPPED_BYTES up it gets a private anonymous map, marked for huge
+    pages and unmapped with the last array on it.  glibc would cut it from
+    the heap once its mmap threshold has risen past its size, and a small
+    block still held above it would keep its pages there as a resident hole:
+    the next allocation of that size would then fault no page or all of
+    them, depending on where that small block fell.
+    """
+    if 8 * t * t < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty((t, t))
+    buf = mmap.mmap(-1, 8 * t * t, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # a kernel built without huge pages refuses the advice
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(t, t)
+
+
 # Metrics are evaluated this many grid cells at a time (whole rows, at least
 # one), so their temporaries stay a small fixed size at every resolution.
 _BLOCK_CELLS = 2**15
@@ -124,7 +149,7 @@ def _rescaled(
     c = grid.centers()
     lo, hi = metric.theoretical_range
     if out is None:
-        out = np.empty((t, t))
+        out = _matrix(t)
     step = max(1, _BLOCK_CELLS // t)
     for start in range(0, t, step):
         rows = slice(start, start + step)

@@ -18,7 +18,14 @@ from cspace import build_surface
 
 def run_fresh(code: str):
     """The JSON a fresh interpreter prints after running ``code``, importing
-    cspace from the package this process imported."""
+    cspace from the package this process imported.
+
+    The interpreter is started from this process, and Linux carries
+    ``ru_maxrss`` across fork and exec, so its peak starts at this process's
+    own.  A peak-memory check must start its measured interpreter from a
+    small one, by having ``code`` launch it (minor-fault counts are not
+    affected).
+    """
     env = dict(os.environ)
     package_root = str(Path(cspace.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -524,6 +525,38 @@ def test_a_large_surface_write_raises_the_peak_rss_by_about_one_file(tmp_path, f
     size = (tmp_path / f"s.{fmt}").stat().st_size
     assert out["status"] == 0
     assert out["rise"] <= 1.6 * size, (out["rise"] / size, size)
+
+
+def _mallinfo2() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _mallinfo2(), reason="the heap measured and trimmed is glibc's")
+def test_commands_leave_no_freed_memory_resident_at_the_top_of_the_heap(tmp_path):
+    # Freeing the JSON write's 28 MB buffer raises glibc's trim threshold to
+    # 56 MB, so without the trim the CSV write after it left 35 MiB free
+    # and resident at the top of the heap.
+    out = run_fresh(
+        "import contextlib, ctypes, io, json\n"
+        "import cspace.cli as cli\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks', 'smblks', 'hblks', 'hblkhd',\n"
+        "                                           'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+        "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+        "mallinfo2.restype = Info\n"
+        "out = []\n"
+        "for fmt in ('json', 'csv'):\n"
+        "    argv = ['surface', '--metric', 'hss', '--ratio', '5', '--t', '1024', '--format', fmt]\n"
+        f"    argv += ['--out', {str(tmp_path)!r} + '/s.' + fmt]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        out.append((cli.main(argv), mallinfo2().keepcost))\n"
+        "print(json.dumps(out))\n"
+    )
+    assert [status for status, _ in out] == [0, 0]
+    assert all(top < 1 << 20 for _, top in out), out
 
 
 def test_an_output_name_of_the_longest_length_the_file_system_allows_is_written(tmp_path, monkeypatch):

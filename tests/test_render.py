@@ -22,7 +22,7 @@ from cspace import (
     render_surface_svg,
     sensitivity_curve,
 )
-from cspace.render import _SEGMENTS, _level_topology, _region_polygons, default_color_map
+from cspace.render import CONTOUR_LEVELS, _SEGMENTS, _level_topology, _region_polygons, default_color_map
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -172,6 +172,42 @@ def test_region_polygons_full_and_empty_levels():
     assert region_area(surf.values, 0.0) == pytest.approx(hull_area, abs=1e-12)
     assert region_area(surf.values, 1.0) == 0.0
     assert region_area(surf.values, 0.5) == pytest.approx(hull_area / 2, abs=1e-9)
+
+
+def winding_numbers(x, y, bounds, px, py) -> np.ndarray:
+    """Winding number of the closed polygons ``x[a:b], y[a:b]`` about each
+    point (px, py), by signed crossings of the horizontal ray to its right."""
+    total = np.zeros(len(px), dtype=int)
+    for a, b in zip(bounds, bounds[1:]):
+        x1, y1 = x[a:b, None], y[a:b, None]
+        x2, y2 = np.roll(x[a:b], -1)[:, None], np.roll(y[a:b], -1)[:, None]
+        side = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)  # > 0: point left of the edge
+        up = (y1 <= py) & (py < y2) & (side > 0)
+        down = (y2 <= py) & (py < y1) & (side < 0)
+        total += up.sum(axis=0) - down.sum(axis=0)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), sine=st.booleans())
+def test_region_polygons_wind_once_around_exactly_the_samples_at_or_above_the_level(t, seed, sine):
+    # Uniform values have no ties; the sine lattice has loops, saddles and
+    # open chains.  Interior samples lie off the hull, where the fill
+    # polygons must wind once around a sample at or above the level and not
+    # at all around one below it.
+    rng = np.random.default_rng(seed)
+    c = (np.arange(t) + 0.5) / t
+    if sine:
+        fx, fy, phx, phy = rng.uniform(0.5, 8.0, 4)
+        values = 0.5 + 0.45 * np.outer(np.sin(fy * np.pi * c + phy), np.sin(fx * np.pi * c + phx))
+    else:
+        values = rng.random((t, t))
+    inner = values[1:-1, 1:-1]
+    px, py = np.meshgrid(c[1:-1], c[1:-1])
+    for level, lines in zip(CONTOUR_LEVELS, _level_topology(values, c, CONTOUR_LEVELS)):
+        x, y, bounds = _region_polygons(values, c, level, lines)
+        wound = winding_numbers(x, y, bounds, px.ravel(), py.ravel())
+        assert (wound == (inner >= level).ravel()).all(), level
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +360,14 @@ def test_curves_svg_legend_lists_metrics_in_input_order():
     legend = next(el for el in root.iter(f"{SVG_NS}g") if el.get("id") == "legend")
     labels = [el.text for el in legend.iter(f"{SVG_NS}text")]
     assert labels == ["hss", "accuracy"]
+
+
+@pytest.mark.parametrize("metric_id", ['a"b<', "q'&>\""])
+def test_curve_ids_with_quotes_parse_and_round_trip(metric_id):
+    doc = render_curves_svg([SensitivityCurve(metric_id, ((1.0, 0.0), (4.0, 0.25)))])
+    assert set(series_points(doc)) == {metric_id}
+    legend = next(el for el in ET.fromstring(doc).iter(f"{SVG_NS}g") if el.get("id") == "legend")
+    assert [el.text for el in legend.iter(f"{SVG_NS}text")] == [metric_id]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import continuum_sensitivity, curve_from_surfaces, run_fresh, whole_grid_curve
+from conftest import continuum_sensitivity, curve_from_surfaces, run_fresh, whole_grid_curve, whole_grid_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +298,32 @@ def test_precision_growth_is_logarithmic_like():
     assert report.monotone
     assert report.concave
     assert report.logarithmic_like
+
+
+# s(r) saturates: as r grows each surface tends to a limit C_inf, so
+# s(inf) = mean|C1 - C_inf|.  precision, f1, gilbert and doolittle tend to 0,
+# hss to 1/2 (a raw 0 on [-1, 1]) and accuracy to tnr.  The values at t=256
+# are the ones README.md states.
+SATURATION_T256 = {
+    "precision": 0.5,
+    "f1": 0.4768,
+    "gilbert": 0.3466,
+    "hss": 0.1667,
+    "doolittle": 0.1817,
+    "accuracy": 0.1667,
+}
+
+
+@pytest.mark.parametrize("metric_id", sorted(SATURATION_T256))
+def test_sensitivity_saturates_at_the_limit_surface(metric_id):
+    t = 256
+    metric = get_metric(metric_id)
+    tnr = (np.arange(t) + 0.5) / t
+    limit = {"hss": 0.5, "accuracy": np.broadcast_to(tnr, (t, t))}.get(metric_id, 0.0)
+    s_inf = float(np.mean(np.abs(whole_grid_values(metric, 1.0, t) - limit)))
+    assert round(s_inf, 4) == SATURATION_T256[metric_id]
+    assert sensitivity(metric, 1e16, GridSpec(t)) == pytest.approx(s_inf, abs=1e-12)
+    assert sensitivity(metric, 1e4, GridSpec(t)) / s_inf >= 0.997
 
 
 def test_constant_zero_curve_is_trivially_logarithmic_like():

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import mmap
+import weakref
+
 import numpy as np
 import pytest
 from conftest import whole_grid_values
@@ -17,7 +21,7 @@ from cspace import (
     get_metric,
     list_metrics,
 )
-from cspace.surface import _distance
+from cspace.surface import _distance, _matrix
 
 
 @pytest.mark.parametrize("t", [0, 1, -3])
@@ -163,6 +167,22 @@ def test_blocked_surface_equals_the_whole_grid_oracle(metric, t):
     # t <= 181 is one block; 182 to 256 are two; 257 and 300 are three; 1024 is 32.
     for ratio in (0.01, 1.0, 49.0, 1e120):
         assert np.array_equal(build_surface(metric, ratio, GridSpec(t)).values, whole_grid_values(metric, ratio, t))
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="matrices are mapped only where huge pages exist")
+def test_a_large_matrix_is_its_own_map_and_is_unmapped_with_its_last_array():
+    # 8 * 724**2 bytes is just under _MAPPED_BYTES (4 MiB), 8 * 725**2 just over.
+    assert _matrix(724).base is None and _matrix(725).base is not None
+    surf = build_surface(get_metric("f1"), 3.0, GridSpec(1024))
+    base = surf.values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    mapped = weakref.ref(base.obj)
+    assert isinstance(mapped(), mmap.mmap) and len(mapped()) == surf.values.nbytes
+    assert surf.values.flags.c_contiguous and not surf.values.flags.writeable
+    del surf, base
+    gc.collect()
+    assert mapped() is None
 
 
 def test_rescale_maps_recall_identically():
