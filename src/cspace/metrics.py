@@ -97,10 +97,11 @@ def _where_defined(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # The catalog's denominators are non-negative and, on cell-centred grids,
     # positive at ordinary ratios: one reduction then shows there is nothing
     # to map, and the division needs neither a mask nor an array of its own.
-    # Any other input takes the masked path.
+    # Any other input takes the masked path, the only one where a zero
+    # denominator can raise a divide-by-zero or invalid warning.
+    if den.min() > 0.0:
+        return np.divide(num, den, out=den)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if np.min(den) > 0.0:
-            return np.divide(num, den, out=den)
         out = np.divide(num, den)
     return np.where(den == 0.0, 0.0, out)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
 from .metrics import MetricDescriptor, check_ratio
-from .surface import DEFAULT_GRID, GridSpec, _distance, _matrix, _rescaled, build_surface
+from .surface import _BLOCK_CELLS, DEFAULT_GRID, GridSpec, _distance, _rescale_rows, build_surface
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -160,14 +160,74 @@ def sensitivity_curve(
     if metric.ratio_free:
         samples = tuple((r, 0.0) for r in schedule)
     else:
-        balanced = build_surface(metric, 1.0, grid).values
-        # One Cr array for the whole curve; |C1 - Cr| overwrites it in place.
-        cr = _matrix(grid.resolution)
-        samples = tuple(
-            (r, 0.0 if r == 1.0 else float(np.mean(_distance(balanced, _rescaled(metric, r, grid, cr), out=cr))))
-            for r in schedule
-        )
+        leaves = _Leaves(metric, grid, build_surface(metric, 1.0, grid).values)
+        samples = tuple((r, 0.0 if r == 1.0 else leaves.mean(r)) for r in schedule)
     return SensitivityCurve(metric_id=metric.id, samples=samples)
+
+
+def _pairwise(n: int, leaf):
+    """``leaf(m)`` of each leaf of numpy's pairwise sum over n values, in
+    order, added up that sum's tree.
+
+    numpy sums more than 128 contiguous float64 values by splitting them at
+    ``n//2`` rounded down to a multiple of 8 and adding the two halves' sums.
+    Leaves here hold at most _BLOCK_CELLS values, and leaf sums taken with
+    ``np.add.reduce`` and added up the same tree have ``np.sum``'s bits; with
+    ``leaf = lambda m: [m]`` the result lists the leaf sizes.  A module-level
+    function: a closure calling itself would form a reference cycle and keep
+    a curve's arrays alive until the cycle collector runs.
+    """
+    if n <= _BLOCK_CELLS:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+
+
+class _Leaves:
+    """One curve's ``mean |C1 - Cr|`` per ratio, without a t x t ``Cr`` array.
+
+    The flat grid is cut into the leaves of ``_pairwise``.  Each leaf's rows
+    of ``Cr`` are evaluated into one reused buffer, after the cells carried
+    over from the last leaf's partial row, so no cell is evaluated twice;
+    ``|C1 - Cr|`` overwrites the leaf there and is summed.  Every view a leaf
+    needs is made once per curve.
+    """
+
+    def __init__(self, metric: MetricDescriptor, grid: GridSpec, balanced: np.ndarray) -> None:
+        t, n = grid.resolution, balanced.size
+        self.metric, self.c, self.n = metric, grid.centers(), n
+        buf, c1 = np.empty(_BLOCK_CELLS + t), balanced.reshape(-1)
+        # Per leaf: the rows to evaluate (None when the carried cells cover
+        # it) and their place in buf, the leaf's cells in buf and in C1, and
+        # the cells to carry to the front of buf (None when none are left).
+        self.plan = []
+        done = have = 0  # cells summed; cells evaluated beyond them, at the front of buf
+        for size in _pairwise(n, lambda m: [m]):
+            rows = block = carry = None
+            if have < size:
+                first, count = (done + have) // t, (size - have + t - 1) // t
+                rows, block = slice(first, first + count), buf[have : have + count * t].reshape(count, t)
+                have += count * t
+            have -= size
+            if have:
+                carry = (buf[:have], buf[size : size + have])
+            self.plan.append((rows, block, buf[:size], c1[done : done + size], carry))
+            done += size
+        # The metric's last result is held until the next exists: freed
+        # first, its pages can lie free at the top of the heap, where glibc
+        # hands them back for the next block to fault in again.
+        self.held = None
+
+    def mean(self, r: float) -> float:
+        sums = []
+        for rows, block, cells, c1, carry in self.plan:
+            if rows is not None:
+                self.held = _rescale_rows(self.metric, r, self.c, rows, block)
+            sums.append(float(np.add.reduce(_distance(c1, cells, out=cells))))
+            if carry is not None:
+                np.copyto(*carry)
+        leaves = iter(sums)
+        return _pairwise(self.n, lambda m: next(leaves)) / self.n
 
 
 def is_agnostic(

@@ -16,6 +16,7 @@ sample at tpr index i (row) and tnr index j (column); storage is row-major.
 from __future__ import annotations
 
 import contextlib
+import math
 import mmap
 from dataclasses import InitVar, dataclass
 
@@ -133,34 +134,47 @@ def _matrix(t: int) -> np.ndarray:
 _BLOCK_CELLS = 2**15
 
 
-def _rescaled(
-    metric: MetricDescriptor, r: float, grid: GridSpec, out: np.ndarray | None = None
-) -> np.ndarray:
+def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
     """``clip((raw - lo) / (hi - lo), 0, 1)`` of the metric at ratio ``r``
-    over the grid, for the metric's range ``[lo, hi]``, written into ``out``
-    (a fresh t x t array when None) one row block at a time.
+    over the grid, for the metric's range ``[lo, hi]``, in a fresh t x t
+    array written one row block at a time.
+    """
+    t = grid.resolution
+    c = grid.centers()
+    out = _matrix(t)
+    step = max(1, _BLOCK_CELLS // t)
+    for start in range(0, t, step):
+        rows = slice(start, start + step)
+        # The metric's result is freed before the next block is evaluated.
+        _rescale_rows(metric, r, c, rows, out[rows])
+    return out
+
+
+def _rescale_rows(
+    metric: MetricDescriptor, r: float, c: np.ndarray, rows: slice, out: np.ndarray
+) -> np.ndarray:
+    """Write the rescaled and clipped values of grid rows ``rows`` (at the
+    cell centers ``c``) into ``out`` and return the metric's own result.
 
     The first rescaling step reads the metric's result and writes into
     ``out``, so a scalar, a view or a read-only result is never written.
     Steps that are the identity for a ``[0, 1]`` range are skipped, which
-    leaves every bit as it was.
+    leaves every bit as it was.  Where ``hi - lo`` is a power of two, the
+    division is a multiplication by its exact reciprocal: both round the
+    same real number, so the bits are the same.
     """
-    t = grid.resolution
-    c = grid.centers()
     lo, hi = metric.theoretical_range
-    if out is None:
-        out = _matrix(t)
-    step = max(1, _BLOCK_CELLS // t)
-    for start in range(0, t, step):
-        rows = slice(start, start + step)
-        x = np.asarray(metric.fn(c[rows, None], c[None, :], r), dtype=np.float64)
-        if lo != 0.0:
-            x = np.subtract(x, lo, out=out[rows])
-        if hi - lo != 1.0:
-            x = np.divide(x, hi - lo, out=out[rows])
-        np.clip(x, 0.0, 1.0, out=out[rows])
-        del x  # the metric's result is freed before the next block is evaluated
-    return out
+    raw = np.asarray(metric.fn(c[rows, None], c[None, :], r), dtype=np.float64)
+    x = raw
+    if lo != 0.0:
+        x = np.subtract(x, lo, out=out)
+    if hi - lo != 1.0:
+        if math.frexp(hi - lo)[0] == 0.5 and math.isfinite(1.0 / (hi - lo)):
+            x = np.multiply(x, 1.0 / (hi - lo), out=out)
+        else:
+            x = np.divide(x, hi - lo, out=out)
+    x.clip(0.0, 1.0, out=out)
+    return raw
 
 
 def _distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
