@@ -36,7 +36,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import CspaceError, InsufficientSamplesError, UsageError
+from .errors import CspaceError
 from .formats import curve_to_csv, curves_to_json, surface_to_csv, surface_to_json
 from .metrics import MetricDescriptor, get_metric, list_metrics
 from .render import CONTOUR_LEVELS, render_curves_svg, render_surface_pair_svg, render_surface_svg
@@ -71,7 +71,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     option = "--out-dir" if args.out_dir else "CSPACE_OUT_DIR"
     path = Path(args.out_dir or os.environ.get("CSPACE_OUT_DIR", "."))
     if not _can_be_directory(path):
-        raise UsageError(f"{option} {str(path)!r} is not a directory")
+        raise CspaceError(f"{option} {str(path)!r} is not a directory")
     return path
 
 
@@ -111,16 +111,16 @@ def _parse_schedule(spec: str) -> RatioSchedule:
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
-            raise UsageError(f"geometric schedule must be start:stop:factor, got {spec!r}")
+            raise CspaceError(f"geometric schedule must be start:stop:factor, got {spec!r}")
         try:
             start, stop, factor = (float(p) for p in parts)
         except ValueError as exc:
-            raise UsageError(f"invalid geometric schedule {spec!r}") from exc
+            raise CspaceError(f"invalid geometric schedule {spec!r}") from exc
         return RatioSchedule.geometric(start, stop, factor)
     try:
         ratios = tuple(float(p) for p in s.split(","))
     except ValueError as exc:
-        raise UsageError(f"invalid ratio list {spec!r}") from exc
+        raise CspaceError(f"invalid ratio list {spec!r}") from exc
     return RatioSchedule(ratios)
 
 
@@ -128,11 +128,11 @@ def _grid(t: int, ratios: int = 1) -> GridSpec:
     """The grid for ``--t``, once t and the ``ratios * t**2`` cells of one
     curve are within the caps."""
     if t > MAX_RESOLUTION:
-        raise UsageError(f"--t {t} is above the largest resolution, {MAX_RESOLUTION}")
+        raise CspaceError(f"--t {t} is above the largest resolution, {MAX_RESOLUTION}")
     grid = GridSpec(t)
     cells = ratios * t * t
     if cells > MAX_CURVE_CELLS:
-        raise UsageError(
+        raise CspaceError(
             f"{ratios} ratios at t={t} need {cells} cells per curve, more than {MAX_CURVE_CELLS}"
         )
     return grid
@@ -144,22 +144,22 @@ def _target(option: str, name: str, out_dir: Path | None = None) -> Path:
     parent is or can be made a directory."""
     path = Path(name) if out_dir is None else out_dir / name
     if os.path.basename(name) in ("", ".", ".."):
-        raise UsageError(f"{option} {name!r} does not name a file")
+        raise CspaceError(f"{option} {name!r} does not name a file")
     if path.is_dir():
-        raise UsageError(f"{option} {name!r} is a directory")
+        raise CspaceError(f"{option} {name!r} is a directory")
     if not _can_be_directory(path.parent):
-        raise UsageError(f"{option} {name!r} is below a file")
+        raise CspaceError(f"{option} {name!r} is below a file")
     return path
 
 
 def _parse_metrics(spec: str) -> list[MetricDescriptor]:
     ids = [part.strip() for part in spec.split(",") if part.strip()]
     if not ids:
-        raise UsageError("no metrics named")
+        raise CspaceError("no metrics named")
     metrics = [get_metric(mid) for mid in ids]
     repeated = sorted({mid for mid in ids if ids.count(mid) > 1})
     if repeated:
-        raise UsageError(f"metric named more than once: {', '.join(repeated)}")
+        raise CspaceError(f"metric named more than once: {', '.join(repeated)}")
     return metrics
 
 
@@ -194,13 +194,13 @@ def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
     paths = [_target("output", str(out_dir / name)) for name in names]
     svg = None if args.svg is None else _target("--svg", args.svg, out_dir)
     if svg is not None and svg.name in names and svg.parent.resolve() == out_dir.resolve():
-        raise UsageError(f"--svg {args.svg!r} is also the name of a curve data file")
+        raise CspaceError(f"--svg {args.svg!r} is also the name of a curve data file")
     curves = [sensitivity_curve(m, schedule, grid) for m in metrics]
     lines = []
     for curve in curves:
         try:
             report = log_growth_check(curve)
-        except InsufficientSamplesError:
+        except CspaceError:
             growth = ""
         else:
             growth = " growth=" + ("logarithmic-like" if report.logarithmic_like else "irregular")
@@ -217,7 +217,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> _Output:
 def _cmd_compare(args: argparse.Namespace) -> _Output:
     metrics = _parse_metrics(args.metrics)
     if len(metrics) < 2:
-        raise UsageError("compare needs at least two metrics")
+        raise CspaceError("compare needs at least two metrics")
     # --ratios is checked even when no SVG will plot it.
     schedule = _parse_schedule(args.ratios)
     # One curve per metric over the ranking ratio and any plotted schedule,
@@ -295,7 +295,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
-        raise UsageError(f"{self.prog}: {message}")
+        raise CspaceError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # --help and --version
             return exc.code if isinstance(exc.code, int) else 2
         if extra:
-            raise UsageError(f"cspace {args.command}: unrecognized arguments: {' '.join(extra)}")
+            raise CspaceError(f"cspace {args.command}: unrecognized arguments: {' '.join(extra)}")
         files, lines = args.func(args)
         _write_files(files)
         for line in lines:

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import CspaceError
 from .sensitivity import SensitivityCurve
 from .surface import GridSpec, MetricSurface
 
@@ -38,6 +39,8 @@ _CSV_HEADER = "tnr,tpr,value"
 # The CSV reader splits the text into lines one block of about this many
 # characters at a time, so only one block's line objects are alive at once.
 _READ_BLOCK = 1 << 16
+
+_ILL_TYPED = "not a surface JSON object: missing or ill-typed field ({})"
 
 
 def surface_to_csv(surface: MetricSurface) -> bytes:
@@ -67,20 +70,23 @@ def surface_values_from_csv(text: str) -> np.ndarray:
     """Parse a surface CSV back into its t x t value matrix."""
     lines = _lines(text)
     if next((ln for ln in lines if ln.strip()), None) != _CSV_HEADER:
-        raise ValueError("not a surface CSV: missing 'tnr,tpr,value' header")
+        raise CspaceError("not a surface CSV: missing 'tnr,tpr,value' header")
     # Every data row has exactly two commas, so the comma count both tells
     # an empty body from a non-empty one (loadtxt warns on no data) and,
     # since loadtxt rejects rows with fewer than three fields, catches rows
     # with more.
     data_commas = text.count(",") - _CSV_HEADER.count(",")
     if data_commas == 0:
-        raise ValueError("surface CSV has no data rows")
-    values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, usecols=2, ndmin=1)
+        raise CspaceError("surface CSV has no data rows")
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, usecols=2, ndmin=1)
+    except ValueError as exc:
+        raise CspaceError(str(exc)) from exc
     if data_commas != 2 * len(values):
-        raise ValueError("every surface CSV row must have three fields: tnr,tpr,value")
+        raise CspaceError("every surface CSV row must have three fields: tnr,tpr,value")
     t = math.isqrt(len(values))
     if t * t != len(values):
-        raise ValueError(f"surface CSV must have a square number of data rows, got {len(values)}")
+        raise CspaceError(f"surface CSV must have a square number of data rows, got {len(values)}")
     return values.reshape(t, t)
 
 
@@ -109,20 +115,25 @@ def surface_to_json(surface: MetricSurface) -> bytes:
 
 
 def surface_from_json(text: str) -> MetricSurface:
-    """Parse a surface JSON; ValueError when a field is missing or ill-typed."""
-    obj = json.loads(text)
+    """Parse a surface JSON; CspaceError when the text is not JSON or a field
+    is missing or ill-typed.
+
+    ``values`` is checked as one array, whose type must be integer or float
+    (``MetricSurface``'s check): a list that mixes booleans with floats
+    becomes float64 and is read.
+    """
     try:
-        if not isinstance(obj["metric"], str):
-            raise TypeError(f"metric must be a string, got {obj['metric']!r}")
-        return MetricSurface(
-            metric_id=obj["metric"],
-            ratio=obj["ratio"],
-            grid=GridSpec(obj["t"]),
-            values=np.asarray(obj["values"], dtype=np.float64),
-            rescale_interval=tuple(obj["rescale"]),
-        )
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise CspaceError(str(exc)) from exc
+    try:
+        metric, ratio, t = obj["metric"], obj["ratio"], obj["t"]
+        values, rescale = obj["values"], tuple(obj["rescale"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a surface JSON object: missing or ill-typed field ({exc})") from exc
+        raise CspaceError(_ILL_TYPED.format(exc)) from exc
+    if not isinstance(metric, str):
+        raise CspaceError(_ILL_TYPED.format(f"metric must be a string, got {metric!r}"))
+    return MetricSurface(metric_id=metric, ratio=ratio, grid=GridSpec(t), values=values, rescale_interval=rescale)
 
 
 def curve_to_csv(curve: SensitivityCurve) -> bytes:

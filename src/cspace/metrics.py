@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRatioError, UnknownMetricError
+from .errors import CspaceError
 
 __all__ = [
     "MetricDescriptor",
@@ -69,18 +69,31 @@ MetricFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 _LARGE_RATIO = 1e100
 
 
-def check_ratio(ratio: float) -> float:
-    """Validate and return an imbalance ratio as a float.
+# Text and booleans, which float() takes, are not numbers here.
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
-    Raises InvalidRatioError unless the ratio is a finite positive real.
-    """
+
+def _real(name: str, x) -> float:
+    """``float(x)``; CspaceError unless ``x`` is a number."""
     try:
-        r = float(ratio)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRatioError(f"imbalance ratio must be a number, got {ratio!r}") from exc
-    if not math.isfinite(r) or r <= 0.0:
-        raise InvalidRatioError(f"imbalance ratio must be a finite positive real, got {ratio!r}")
-    return r
+        if not isinstance(x, _NOT_NUMBERS):
+            return float(x)
+    except (TypeError, ValueError):
+        pass
+    raise CspaceError(f"{name} must be a number, got {x!r}")
+
+
+def _positive_real(name: str, x) -> float:
+    """``float(x)``; CspaceError unless ``x`` is a finite positive real number."""
+    v = _real(name, x)
+    if not math.isfinite(v) or v <= 0.0:
+        raise CspaceError(f"{name} must be a finite positive real, got {x!r}")
+    return v
+
+
+def check_ratio(ratio: float) -> float:
+    """Validate and return an imbalance ratio as a float."""
+    return _positive_real("imbalance ratio", ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +232,14 @@ class MetricDescriptor:
 
 
 def check_interval(name: str, interval) -> None:
-    """Raise ValueError unless ``interval`` is two finite numbers ``lo < hi``."""
+    """Raise CspaceError unless ``interval`` is two finite numbers ``lo < hi``."""
     try:
         lo, hi = interval
-        ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        ok = all(not isinstance(v, _NOT_NUMBERS) and math.isfinite(v) for v in (lo, hi)) and lo < hi
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise ValueError(f"{name} must be two finite numbers with lo < hi, got {interval!r}")
+        raise CspaceError(f"{name} must be two finite numbers with lo < hi, got {interval!r}")
 
 
 _CATALOG: tuple[MetricDescriptor, ...] = (
@@ -250,20 +263,18 @@ def list_metrics() -> tuple[MetricDescriptor, ...]:
 
 
 def get_metric(metric_id: str) -> MetricDescriptor:
-    """Look up a catalog metric by id; raises UnknownMetricError otherwise."""
+    """Look up a catalog metric by id; raises CspaceError otherwise."""
     try:
         return _BY_ID[metric_id]
     except KeyError:
         known = ", ".join(m.id for m in _CATALOG)
-        raise UnknownMetricError(f"unknown metric {metric_id!r} (known: {known})") from None
+        raise CspaceError(f"unknown metric {metric_id!r} (known: {known})") from None
 
 
 def fbeta(beta: float = 1.0) -> MetricDescriptor:
     """A parameterised F-beta descriptor; ``fbeta(1)`` coincides with ``f1``."""
-    b = float(beta)
-    if not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"beta must be a finite positive real, got {beta!r}")
+    b = _positive_real("beta", beta)
     if not math.isfinite(b * b):
         limit = math.sqrt(sys.float_info.max)
-        raise ValueError(f"beta must be at most {limit:.4g}, where beta**2 stays finite, got {beta!r}")
+        raise CspaceError(f"beta must be at most {limit:.4g}, where beta**2 stays finite, got {beta!r}")
     return MetricDescriptor(f"fbeta({b:g})", (0.0, 1.0), _make_fbeta(b))

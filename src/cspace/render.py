@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ScheduleMismatchError
+from .errors import CspaceError
 from .sensitivity import SensitivityCurve
 from .surface import MetricSurface
 
@@ -60,15 +60,14 @@ _COLOR_STOPS: tuple[tuple[float, tuple[int, int, int]], ...] = (
 def default_color_map(value: float) -> tuple[int, int, int]:
     """Monotone light-to-dark ramp from [0, 1] to an RGB triple."""
     v = min(1.0, max(0.0, float(value)))
-    for (a, ca), (b, cb) in zip(_COLOR_STOPS, _COLOR_STOPS[1:]):
-        if v <= b:
-            f = 0.0 if b == a else (v - a) / (b - a)
-            return (
-                int(round(ca[0] + f * (cb[0] - ca[0]))),
-                int(round(ca[1] + f * (cb[1] - ca[1]))),
-                int(round(ca[2] + f * (cb[2] - ca[2]))),
-            )
-    return _COLOR_STOPS[-1][1]
+    # The last stop is 1.0, so some segment holds v, and no two stops are equal.
+    (a, ca), (b, cb) = next(seg for seg in zip(_COLOR_STOPS, _COLOR_STOPS[1:]) if v <= seg[1][0])
+    f = (v - a) / (b - a)
+    return (
+        int(round(ca[0] + f * (cb[0] - ca[0]))),
+        int(round(ca[1] + f * (cb[1] - ca[1]))),
+        int(round(ca[2] + f * (cb[2] - ca[2]))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +439,11 @@ def render_curves_svg(curves: Sequence[SensitivityCurve], log_x: bool = False) -
     ``log_x`` puts the ratio axis on a log scale.
     """
     if not curves:
-        raise ScheduleMismatchError("curve plot needs at least one curve")
+        raise CspaceError("curve plot needs at least one curve")
     schedule = curves[0].ratios
     for c in curves[1:]:
         if c.ratios != schedule:
-            raise ScheduleMismatchError(
+            raise CspaceError(
                 f"curves must share a ratio schedule: {c.metric_id!r} differs from {curves[0].metric_id!r}"
             )
 

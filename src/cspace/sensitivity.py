@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidRatioError, InvalidToleranceError
-from .metrics import MetricDescriptor, check_ratio
+from .errors import CspaceError
+from .metrics import MetricDescriptor, _real, check_ratio
 from .surface import _BLOCK_CELLS, DEFAULT_GRID, GridSpec, _distance, _rescale_rows, build_surface
 
 __all__ = [
@@ -67,26 +67,26 @@ class RatioSchedule:
     def __post_init__(self) -> None:
         rs = tuple(check_ratio(r) for r in self.ratios)
         if not rs:
-            raise InvalidRatioError("ratio schedule must not be empty")
+            raise CspaceError("ratio schedule must not be empty")
         for a, b in zip(rs, rs[1:]):
             if b <= a:
-                raise InvalidRatioError(f"ratio schedule must be strictly increasing, got {a} then {b}")
+                raise CspaceError(f"ratio schedule must be strictly increasing, got {a} then {b}")
         object.__setattr__(self, "ratios", rs)
 
     @classmethod
     def geometric(cls, start: float, stop: float, factor: float) -> "RatioSchedule":
         """Ratios start * factor**k while <= stop (stop included if hit exactly).
 
-        Raises InvalidRatioError when the schedule would hold more than
+        Raises CspaceError when the schedule would hold more than
         MAX_SCHEDULE_LENGTH ratios.
         """
         lo = check_ratio(start)
         hi = check_ratio(stop)
-        f = float(factor)
+        f = _real("geometric factor", factor)
         if not math.isfinite(f) or f <= 1.0:
-            raise InvalidRatioError(f"geometric factor must be > 1, got {factor!r}")
+            raise CspaceError(f"geometric factor must be > 1, got {factor!r}")
         if hi < lo:
-            raise InvalidRatioError(f"schedule stop {stop!r} must be >= start {start!r}")
+            raise CspaceError(f"schedule stop {stop!r} must be >= start {start!r}")
         # Capped so that a ratio beyond the float range (inf) always ends the loop.
         bound = min(hi * (1.0 + 1e-12), sys.float_info.max)
         # log(bound / lo) / log(f) + 1 without forming bound / lo, which can
@@ -94,7 +94,7 @@ class RatioSchedule:
         # ratio lands within an ulp of the bound.
         length = math.floor((math.log(hi) - math.log(lo) + math.log1p(1e-12)) / math.log(f)) + 1
         if length > MAX_SCHEDULE_LENGTH:
-            raise InvalidRatioError(
+            raise CspaceError(
                 f"geometric schedule {start!r}:{stop!r}:{factor!r} has {length} ratios, "
                 f"more than {MAX_SCHEDULE_LENGTH}"
             )
@@ -123,16 +123,16 @@ class SensitivityCurve:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((float(r), float(s)) for r, s in self.samples)
+        samples = tuple((_real("curve ratio", r), _real("sensitivity", s)) for r, s in self.samples)
         for (ra, _), (rb, _) in zip(samples, samples[1:]):
             if rb < ra:
-                raise ValueError(f"curve samples must be sorted ascending by ratio, got {ra} then {rb}")
+                raise CspaceError(f"curve samples must be sorted ascending by ratio, got {ra} then {rb}")
         for r, s in samples:
             check_ratio(r)
             if not (0.0 <= s < 1.0):
-                raise ValueError(f"sensitivity must lie in [0, 1), got {s!r} at r={r!r}")
+                raise CspaceError(f"sensitivity must lie in [0, 1), got {s!r} at r={r!r}")
             if r == 1.0 and s != 0.0:
-                raise ValueError(f"sensitivity at r=1 must be exactly 0, got {s!r}")
+                raise CspaceError(f"sensitivity at r=1 must be exactly 0, got {s!r}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -248,9 +248,9 @@ def is_agnostic(
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise InvalidToleranceError unless an agnostic tolerance is positive (NaN included)."""
-    if not (tol > 0.0):
-        raise InvalidToleranceError(f"agnostic tolerance must be positive, got {tol!r}")
+    """Raise CspaceError unless an agnostic tolerance is positive (NaN included)."""
+    if not (_real("agnostic tolerance", tol) > 0.0):
+        raise CspaceError(f"agnostic tolerance must be positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -279,14 +279,14 @@ def log_growth_check(curve: SensitivityCurve) -> GrowthReport:
     """Diagnose whether a curve grows like log r.
 
     Uses the samples at r >= 1; requires at least three distinct ratios there
-    (InsufficientSamplesError otherwise).
+    (CspaceError otherwise).
     """
     seen: dict[float, float] = {}
     for r, s in curve.samples:
         if r >= 1.0 and r not in seen:
             seen[r] = s
     if len(seen) < 3:
-        raise InsufficientSamplesError(
+        raise CspaceError(
             f"log-growth diagnosis needs >= 3 distinct samples at r >= 1, got {len(seen)}"
         )
     rs = sorted(seen)

@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvalidGridError
+from .errors import CspaceError
 from .metrics import MetricDescriptor, check_interval, check_ratio
 
 __all__ = [
@@ -45,7 +45,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         t = self.resolution
         if not isinstance(t, int) or isinstance(t, bool) or t < 2:
-            raise InvalidGridError(f"grid resolution must be an integer >= 2, got {t!r}")
+            raise CspaceError(f"grid resolution must be an integer >= 2, got {t!r}")
 
     def centers(self) -> np.ndarray:
         """Sample coordinates (k + 0.5)/t for k in 0..t-1."""
@@ -62,6 +62,9 @@ class MetricSurface:
 
     ``values[i][j] = clip((raw(tpr_i, tnr_j, ratio) - lo) / (hi - lo), 0, 1)``
     where ``[lo, hi]`` is ``rescale_interval``.  The matrix is read-only.
+    ``values`` must be integers or floats as one array: text, booleans and
+    objects are refused, but a list that mixes booleans with floats becomes
+    a float array and is taken.
     """
 
     metric_id: str
@@ -75,12 +78,20 @@ class MetricSurface:
 
     def __post_init__(self, _owned: bool) -> None:
         t = self.grid.resolution
-        arr = self.values if _owned else np.array(self.values, dtype=np.float64, copy=True)
+        arr = self.values
+        if not _owned:
+            try:
+                arr = np.array(arr, copy=True)
+            except ValueError as exc:  # a ragged nesting
+                raise CspaceError(f"surface values must be one array of numbers ({exc})") from exc
+            if arr.dtype.kind not in "iuf":
+                raise CspaceError(f"surface values must be numbers, got an array of {arr.dtype}")
+            arr = arr.astype(np.float64, copy=False)
         if arr.shape != (t, t):
-            raise InvalidGridError(f"values must have shape ({t}, {t}), got {arr.shape}")
+            raise CspaceError(f"values must have shape ({t}, {t}), got {arr.shape}")
         # NaN fails both comparisons.
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("surface values must lie in [0, 1]")
+            raise CspaceError("surface values must lie in [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "ratio", check_ratio(self.ratio))
@@ -93,7 +104,7 @@ def build_surface(
     """Evaluate a metric over the grid at the given ratio and rescale.
 
     Deterministic: identical inputs produce bit-identical value matrices.
-    Raises InvalidRatioError for a non-finite or non-positive ratio.
+    Raises CspaceError for a ratio that is not a finite positive real.
     """
     r = check_ratio(ratio)
     return MetricSurface(

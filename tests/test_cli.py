@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import cspace
 from cspace import (
+    CspaceError,
     GridSpec,
     RatioSchedule,
-    UsageError,
     build_surface,
     get_metric,
     list_metrics,
@@ -502,6 +502,22 @@ def test_a_failure_in_the_last_write_leaves_no_file_and_prints_nothing(tmp_path,
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
+def test_an_interrupt_during_a_write_propagates_unchanged_and_leaves_no_file(tmp_path, monkeypatch):
+    write, interrupt = cli._write_text, KeyboardInterrupt()
+
+    def interrupted_on_the_second_file(fd, data):
+        if data == b"b":
+            os.close(fd)
+            raise interrupt
+        write(fd, data)
+
+    monkeypatch.setattr(cli, "_write_text", interrupted_on_the_second_file)
+    with pytest.raises(KeyboardInterrupt) as caught:
+        cli._write_files({tmp_path / "a.csv": b"a", tmp_path / "b.csv": b"b"})
+    assert caught.value is interrupt
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB, as Linux gives it")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_large_surface_write_raises_the_peak_rss_by_about_one_file(tmp_path, fmt):
@@ -602,7 +618,7 @@ def test_resource_caps_admit_benchmark_and_paper_scale():
 @pytest.mark.parametrize("t, ratios", [(4097, 1), (100_000, 1), (1024, 257), (256, 4097), (2, 2**26 + 1)])
 def test_resource_caps_reject_from_the_estimate(t, ratios):
     # Only the estimate is checked here: nothing of this size is allocated.
-    with pytest.raises(UsageError):
+    with pytest.raises(CspaceError):
         cli._grid(t, ratios)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspace import GridSpec, RatioSchedule, build_surface, get_metric, list_metrics, sensitivity_curve
+from cspace import CspaceError, GridSpec, RatioSchedule, build_surface, get_metric, list_metrics, sensitivity_curve
 from cspace.formats import (
     curve_to_csv,
     curves_to_json,
@@ -176,7 +176,7 @@ HEADER = "tnr,tpr,value\n"
     ],
 )
 def test_surface_csv_parser_raises_value_error(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(CspaceError):
         surface_values_from_csv(text)
 
 
@@ -230,16 +230,26 @@ _T2_JSON = {"metric": "f1", "ratio": 2.0, "t": 2, "rescale": [0.0, 1.0], "values
         json.dumps({**_T2_JSON, "rescale": [0, float("inf")]}),
         json.dumps({**_T2_JSON, "metric": 5}),
         json.dumps({**_T2_JSON, "metric": None}),
+        json.dumps({**_T2_JSON, "ratio": "5"}),
+        json.dumps({**_T2_JSON, "ratio": True}),
+        json.dumps({**_T2_JSON, "rescale": [False, True]}),
+        json.dumps({**_T2_JSON, "values": [["0", "0.5"], ["0.25", "1"]]}),
+        json.dumps({**_T2_JSON, "values": [[False, True], [True, False]]}),
+        json.dumps({**_T2_JSON, "values": [[0.0, 0.5], [0.25]]}),
+        json.dumps({**_T2_JSON, "values": [[0.0, None], [0.25, 1.0]]}),
+        "",
+        "{",
     ],
     ids=[
         "list", "empty-object", "no-values", "values-object", "rescale-one", "rescale-three",
         "rescale-number", "rescale-reversed", "rescale-empty", "rescale-strings", "rescale-null", "rescale-inf",
-        "metric-number", "metric-null",
+        "metric-number", "metric-null", "ratio-string", "ratio-bool", "rescale-bools", "values-strings",
+        "values-bools", "values-ragged", "values-null", "empty-text", "not-json",
     ],
 )
 def test_surface_json_reader_raises_value_error_on_malformed_fields(text):
     assert surface_from_json(json.dumps(_T2_JSON)).values.shape == (2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(CspaceError):
         surface_from_json(text)
 
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
+    CspaceError,
     GridSpec,
     MetricDescriptor,
-    UnknownMetricError,
     build_surface,
     fbeta,
     get_metric,
@@ -104,7 +104,19 @@ def test_catalog_ranges_are_proper_intervals():
 
 
 @pytest.mark.parametrize(
-    "bounds", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0), (0.0,), ("a", "b"), None]
+    "bounds",
+    [
+        (1.0, 1.0),
+        (1.0, 0.0),
+        (0.0, math.inf),
+        (math.nan, 1.0),
+        (-math.inf, 0.0),
+        (0.0,),
+        ("a", "b"),
+        None,
+        (False, True),
+        (np.False_, 1.0),
+    ],
 )
 def test_metric_descriptor_rejects_improper_ranges(bounds):
     with pytest.raises(ValueError, match="lo < hi"):
@@ -127,7 +139,7 @@ def test_ratio_free_declaration_matches_evaluation(metric):
 
 
 def test_get_metric_unknown():
-    with pytest.raises(UnknownMetricError, match="nosuch"):
+    with pytest.raises(CspaceError, match="nosuch"):
         get_metric("nosuch")
 
 
@@ -136,6 +148,9 @@ def test_fbeta_validation():
         fbeta(0.0)
     with pytest.raises(ValueError):
         fbeta(float("inf"))
+    for beta in ("2", True, None):
+        with pytest.raises(CspaceError, match="beta must be a number"):
+            fbeta(beta)
 
 
 def test_fbeta_refuses_a_beta_whose_square_overflows():

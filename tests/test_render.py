@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
+    CspaceError,
     GridSpec,
     MetricSurface,
     RatioSchedule,
-    ScheduleMismatchError,
     SensitivityCurve,
     build_surface,
     get_metric,
@@ -333,9 +333,9 @@ def test_sensitive_series_order_at_right_edge():
 def test_curves_svg_requires_shared_schedule():
     a = curves_for(["recall"], RatioSchedule((1.0, 2.0)))
     b = curves_for(["tss"], RatioSchedule((1.0, 3.0)))
-    with pytest.raises(ScheduleMismatchError):
+    with pytest.raises(CspaceError):
         render_curves_svg([a[0], b[0]])
-    with pytest.raises(ScheduleMismatchError):
+    with pytest.raises(CspaceError):
         render_curves_svg([])
 
 

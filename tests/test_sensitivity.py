@@ -15,11 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
+    CspaceError,
     GridSpec,
-    InsufficientSamplesError,
-    InvalidRatioError,
     RatioSchedule,
-    InvalidToleranceError,
     SensitivityCurve,
     build_surface,
     fbeta,
@@ -88,14 +86,18 @@ def oracle_sensitivity(metric_id: str, ratio: float, t: int) -> float:
 
 
 def test_schedule_requires_strictly_increasing_positive_ratios():
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule(())
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule((1.0, 1.0))
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule((2.0, 1.0))
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule((0.0, 1.0))
+    with pytest.raises(CspaceError, match="must be a number, got True"):
+        RatioSchedule((True, "5"))
+    with pytest.raises(CspaceError, match="must be a number, got '5'"):
+        RatioSchedule((1.0, "5"))
 
 
 @pytest.mark.parametrize(
@@ -112,17 +114,19 @@ def test_geometric_schedules(args, expected):
 
 
 def test_geometric_schedule_validation():
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule.geometric(5, 1, 2)
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule.geometric(1, 10, 1.0)
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         RatioSchedule.geometric(0, 10, 2)
+    with pytest.raises(CspaceError, match="geometric factor must be a number"):
+        RatioSchedule.geometric(1, 10, "2")
 
 
 def test_geometric_schedule_length_is_counted_before_generating():
     # 1:2:1.0000001 holds 6931473 ratios; the count alone refuses it.
-    with pytest.raises(InvalidRatioError, match="6931473 ratios"):
+    with pytest.raises(CspaceError, match="6931473 ratios"):
         RatioSchedule.geometric(1, 2, 1.0000001)
     # 2.0**1024 overflows just past 1e308, which ends the schedule there.
     schedule = RatioSchedule.geometric(1, 1e308, 2)
@@ -144,7 +148,7 @@ def test_geometric_schedule_reaches_past_an_overflowing_power():
 def test_geometric_schedule_cap_holds_at_its_edge(monkeypatch):
     monkeypatch.setattr(sensitivity_module, "MAX_SCHEDULE_LENGTH", 11)
     assert len(RatioSchedule.geometric(1, 1024, 2)) == 11
-    with pytest.raises(InvalidRatioError, match="12 ratios"):
+    with pytest.raises(CspaceError, match="12 ratios"):
         RatioSchedule.geometric(1, 2048, 2)
 
 
@@ -202,8 +206,10 @@ def test_production_path_matches_low_resolution_oracle():
 
 
 def test_sensitivity_rejects_invalid_ratio():
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         sensitivity(get_metric("f1"), -1.0, GridSpec(8))
+    with pytest.raises(CspaceError, match="must be a number, got ' 49 '"):
+        sensitivity(get_metric("f1"), " 49 ", GridSpec(8))
 
 
 def test_sensitivity_well_defined_below_ratio_one():
@@ -247,6 +253,10 @@ def test_curve_type_invariants():
         SensitivityCurve("x", ((2.0, 1.0),))  # s out of [0, 1)
     with pytest.raises(ValueError):
         SensitivityCurve("x", ((1.0, 0.5),))  # nonzero at balance
+    with pytest.raises(CspaceError, match="curve ratio must be a number"):
+        SensitivityCurve("x", (("2", 0.5),))
+    with pytest.raises(CspaceError, match="sensitivity must be a number"):
+        SensitivityCurve("x", ((2.0, None),))
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +279,14 @@ def test_sensitive_metrics_are_not_agnostic(metric_id):
 def test_is_agnostic_rejects_bad_tolerance(monkeypatch):
     # The tolerance is checked before the curve is evaluated.
     monkeypatch.setattr(sensitivity_module, "sensitivity_curve", lambda *args: pytest.fail("evaluated"))
-    with pytest.raises(InvalidToleranceError):
+    with pytest.raises(CspaceError):
         is_agnostic(get_metric("precision"), AGNOSTIC_SCHEDULE, GridSpec(16), tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.0, -1.0, float("-inf")])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.0, -1.0, float("-inf"), "1e-3", True, None])
 def test_curve_is_agnostic_rejects_non_positive_tolerance(tol):
     # recall's curve is exactly 0, so only the tolerance check can refuse it.
-    with pytest.raises(InvalidToleranceError):
+    with pytest.raises(CspaceError):
         is_agnostic(get_metric("recall"), AGNOSTIC_SCHEDULE, GridSpec(8), tol=tol)
 
 
@@ -334,10 +344,10 @@ def test_constant_zero_curve_is_trivially_logarithmic_like():
 
 def test_growth_check_needs_three_distinct_ratios():
     repeated = SensitivityCurve("x", ((4.0, 0.125), (4.0, 0.125), (4.0, 0.125)))
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(CspaceError):
         log_growth_check(repeated)
     short = sensitivity_curve(get_metric("f1"), RatioSchedule((1.0, 2.0)), GridSpec(8))
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(CspaceError):
         log_growth_check(short)
 
 

@@ -56,6 +56,11 @@ def test_every_public_name_resolves_and_star_import_binds_it():
     assert set(cspace.__all__) <= set(dir(cspace))
 
 
+def test_the_library_has_one_error_type():
+    classes = [v for v in vars(cspace.errors).values() if isinstance(v, type) and v.__module__ == "cspace.errors"]
+    assert classes == [cspace.CspaceError] and issubclass(cspace.CspaceError, ValueError)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cspace.no_such_name  # noqa: B018

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspace import (
+    CspaceError,
     GridSpec,
-    InvalidGridError,
-    InvalidRatioError,
     MetricDescriptor,
     MetricSurface,
     build_surface,
@@ -26,12 +25,12 @@ from cspace.surface import _distance, _matrix
 
 @pytest.mark.parametrize("t", [0, 1, -3])
 def test_grid_spec_rejects_small_resolutions(t):
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(CspaceError):
         GridSpec(t)
 
 
 def test_grid_spec_rejects_non_integer_resolution():
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(CspaceError):
         GridSpec(2.0)  # type: ignore[arg-type]
 
 
@@ -96,9 +95,11 @@ def test_class_swap_identities_hold_at_any_resolution_and_ratio(metric_id, t, lo
     assert _class_swap_error(metric_id, 10.0**log_r, t) <= _class_swap_tol(metric_id, t)
 
 
-@pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf"), "abc", None])
+@pytest.mark.parametrize(
+    "ratio", [0.0, -2.0, float("nan"), float("inf"), "abc", None, "49", " 49 ", b"49", True, np.True_]
+)
 def test_build_surface_rejects_invalid_ratios(ratio):
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(CspaceError):
         build_surface(get_metric("f1"), ratio, GridSpec(4))
 
 
@@ -134,13 +135,31 @@ def test_surface_rejects_values_outside_unit_interval(bad):
         MetricSurface("given", 1.0, GridSpec(4), values, (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.full((4, 4), "0.25"), np.full((4, 4), True), np.full((4, 4), None), [[0.25] * 4] * 3 + [[0.25] * 3]],
+    ids=["strings", "booleans", "objects", "ragged"],
+)
+def test_surface_rejects_values_that_are_not_one_array_of_numbers(values):
+    with pytest.raises(CspaceError, match="surface values must be"):
+        MetricSurface("given", 1.0, GridSpec(4), values, (0.0, 1.0))
+
+
+def test_surface_takes_integer_values_as_floats():
+    surf = MetricSurface("given", 1.0, GridSpec(2), [[0, 1], [1, 0]], (0.0, 1.0))
+    assert surf.values.dtype == np.float64 and surf.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16,), (4, 4, 1)])
 def test_surface_rejects_values_of_the_wrong_shape(shape):
-    with pytest.raises(InvalidGridError, match=r"shape \(4, 4\)"):
+    with pytest.raises(CspaceError, match=r"shape \(4, 4\)"):
         MetricSurface("given", 1.0, GridSpec(4), np.full(shape, 0.25), (0.0, 1.0))
 
 
-@pytest.mark.parametrize("interval", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0), (0.0,), ("a", "b"), None])
+@pytest.mark.parametrize(
+    "interval",
+    [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0), (0.0,), ("a", "b"), None, (False, True), (0.0, np.True_)],
+)
 def test_surface_rejects_a_rescale_interval_that_is_not_two_finite_increasing_numbers(interval):
     with pytest.raises(ValueError, match="lo < hi"):
         MetricSurface("given", 1.0, GridSpec(4), np.full((4, 4), 0.25), interval)
@@ -162,7 +181,18 @@ def test_build_surface_is_bit_deterministic():
 
 
 @pytest.mark.parametrize("t", [2, 181, 182, 255, 256, 257, 300, 1024])
-@pytest.mark.parametrize("metric", [*list_metrics(), fbeta(0.5), fbeta(3.0)], ids=lambda m: m.id)
+@pytest.mark.parametrize(
+    "metric",
+    [
+        *list_metrics(),
+        fbeta(0.5),
+        fbeta(3.0),
+        # Ranges whose width is not a power of two take the division step.
+        MetricDescriptor("f1_over_0_3", (0.0, 3.0), get_metric("f1").fn),
+        MetricDescriptor("hss_over_-1_2", (-1.0, 2.0), get_metric("hss").fn),
+    ],
+    ids=lambda m: m.id,
+)
 def test_blocked_surface_equals_the_whole_grid_oracle(metric, t):
     # t <= 181 is one block; 182 to 256 are two; 257 and 300 are three; 1024 is 32.
     for ratio in (0.01, 1.0, 49.0, 1e120):
