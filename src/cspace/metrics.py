@@ -201,12 +201,14 @@ def _doolittle(tpr, tnr, r):
         return _where_defined(num, den)
     tp, fn, tn, fp = tpr, 1.0 - tpr, r * tnr, r * (1.0 - tnr)
     num = tp * tn
-    num -= fn * fp
+    tmp = fn * fp
+    num -= tmp
     num **= 2
-    # r * (tp + fp) * (fn + tn), and multiplication commutes bitwise.
+    # r * (tp + fp) * (fn + tn), and multiplication commutes bitwise; fn + tn
+    # reuses the block that held fn * fp.
     den = tp + fp
     den *= r
-    den *= fn + tn
+    den *= np.add(fn, tn, out=tmp)
     return _where_defined(num, den)
 
 

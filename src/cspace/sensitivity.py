@@ -8,7 +8,7 @@ approximated by the midpoint rule on the shared grid:
 
 The 1/t^2 cell-area factor keeps the measure independent of the grid
 resolution and bounded by the unit volume of the rescaled value space, so
-s always lies in [0, 1).  A metric is *imbalance agnostic* when s vanishes
+s always lies in [0, 1].  A metric is *imbalance agnostic* when s vanishes
 for every positive ratio; recall, tss and youden_j are (their closed forms
 do not mention r at all, and their descriptors declare it as ``ratio_free``,
 so their curves are exactly 0 without any evaluation).
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CspaceError
 from .metrics import MetricDescriptor, _real, check_ratio
-from .surface import _BLOCK_CELLS, DEFAULT_GRID, GridSpec, _distance, _rescale_rows, build_surface
+from .surface import _BLOCK_CELLS, DEFAULT_GRID, GridSpec, _rescale_rows, build_surface
 
 __all__ = [
     "DEFAULT_AGNOSTIC_SCHEDULE",
@@ -129,8 +129,8 @@ class SensitivityCurve:
                 raise CspaceError(f"curve samples must be sorted ascending by ratio, got {ra} then {rb}")
         for r, s in samples:
             check_ratio(r)
-            if not (0.0 <= s < 1.0):
-                raise CspaceError(f"sensitivity must lie in [0, 1), got {s!r} at r={r!r}")
+            if not (0.0 <= s <= 1.0):
+                raise CspaceError(f"sensitivity must lie in [0, 1], got {s!r} at r={r!r}")
             if r == 1.0 and s != 0.0:
                 raise CspaceError(f"sensitivity at r=1 must be exactly 0, got {s!r}")
         object.__setattr__(self, "samples", samples)
@@ -223,7 +223,8 @@ class _Leaves:
         for rows, block, cells, c1, carry in self.plan:
             if rows is not None:
                 self.held = _rescale_rows(self.metric, r, self.c, rows, block)
-            sums.append(float(np.add.reduce(_distance(c1, cells, out=cells))))
+            np.subtract(c1, cells, out=cells)
+            sums.append(float(np.add.reduce(np.abs(cells, out=cells))))
             if carry is not None:
                 np.copyto(*carry)
         leaves = iter(sums)

@@ -107,11 +107,18 @@ def build_surface(
     Raises CspaceError for a ratio that is not a finite positive real.
     """
     r = check_ratio(ratio)
+    t, c = grid.resolution, grid.centers()
+    values = _matrix(t)
+    step = max(1, _BLOCK_CELLS // t)
+    for start in range(0, t, step):
+        rows = slice(start, start + step)
+        # The metric's result is freed before the next block is evaluated.
+        _rescale_rows(metric, r, c, rows, values[rows])
     return MetricSurface(
         metric_id=metric.id,
         ratio=r,
         grid=grid,
-        values=_rescaled(metric, r, grid),
+        values=values,
         rescale_interval=metric.theoretical_range,
         _owned=True,
     )
@@ -145,22 +152,6 @@ def _matrix(t: int) -> np.ndarray:
 _BLOCK_CELLS = 2**15
 
 
-def _rescaled(metric: MetricDescriptor, r: float, grid: GridSpec) -> np.ndarray:
-    """``clip((raw - lo) / (hi - lo), 0, 1)`` of the metric at ratio ``r``
-    over the grid, for the metric's range ``[lo, hi]``, in a fresh t x t
-    array written one row block at a time.
-    """
-    t = grid.resolution
-    c = grid.centers()
-    out = _matrix(t)
-    step = max(1, _BLOCK_CELLS // t)
-    for start in range(0, t, step):
-        rows = slice(start, start + step)
-        # The metric's result is freed before the next block is evaluated.
-        _rescale_rows(metric, r, c, rows, out[rows])
-    return out
-
-
 def _rescale_rows(
     metric: MetricDescriptor, r: float, c: np.ndarray, rows: slice, out: np.ndarray
 ) -> np.ndarray:
@@ -186,9 +177,3 @@ def _rescale_rows(
             x = np.divide(x, hi - lo, out=out)
     x.clip(0.0, 1.0, out=out)
     return raw
-
-
-def _distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Element-wise ``|a - b|``, written into ``out`` when given."""
-    diff = np.subtract(a, b, out=out)
-    return np.abs(diff, out=diff)

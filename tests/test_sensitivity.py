@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cspace import (
     CspaceError,
     GridSpec,
+    MetricDescriptor,
     RatioSchedule,
     SensitivityCurve,
     build_surface,
@@ -250,13 +251,20 @@ def test_curve_type_invariants():
     with pytest.raises(ValueError):
         SensitivityCurve("x", ((2.0, 0.5), (1.5, 0.1)))  # not ascending
     with pytest.raises(ValueError):
-        SensitivityCurve("x", ((2.0, 1.0),))  # s out of [0, 1)
+        SensitivityCurve("x", ((2.0, 1.5),))  # s out of [0, 1]
     with pytest.raises(ValueError):
         SensitivityCurve("x", ((1.0, 0.5),))  # nonzero at balance
     with pytest.raises(CspaceError, match="curve ratio must be a number"):
         SensitivityCurve("x", (("2", 0.5),))
     with pytest.raises(CspaceError, match="sensitivity must be a number"):
         SensitivityCurve("x", ((2.0, None),))
+
+
+def test_a_surface_that_turns_from_0_to_1_has_sensitivity_exactly_1():
+    # Rescaled values lie in [0, 1], so s reaches 1 when every cell does.
+    step = MetricDescriptor("step", (0.0, 1.0), lambda tpr, tnr, r: np.full_like(tpr * tnr, r - 1.0))
+    assert sensitivity(step, 2.0, GridSpec(8)) == 1.0
+    assert SensitivityCurve("step", ((2.0, 1.0),)).values == (1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +560,11 @@ def test_blocked_curve_equals_the_whole_grid_oracle(metric, t):
 def test_curves_evaluate_each_cell_once_where_leaves_end_mid_row(t):
     # The balanced surface, then every ratio other than 1, each t^2 cells: a
     # leaf's partial last row is carried into the next leaf, not evaluated again.
+    # The surface makes one call per block of whole rows, the curve one per
+    # leaf of numpy's pairwise tree, which halves t^2 until a leaf holds at
+    # most 2**15 cells.
     metric = get_metric("f1")
+    leaves = {255: 2, 257: 4, 1000: 32, 1001: 32}[t]
     cells = []
 
     def fn(tpr, tnr, r):
@@ -563,6 +575,7 @@ def test_curves_evaluate_each_cell_once_where_leaves_end_mid_row(t):
     sensitivity_curve(dataclasses.replace(metric, fn=fn), schedule, GridSpec(t))
     assert all(cols == t for _, cols in cells)
     assert sum(rows * cols for rows, cols in cells) == 3 * t * t
+    assert len(cells) == math.ceil(t / max(1, 2**15 // t)) + 2 * leaves
 
 
 @settings(max_examples=40, deadline=None)
@@ -634,16 +647,17 @@ def _glibc() -> bool:
 
 
 @pytest.mark.skipif(not _glibc(), reason="the page faults measured come from glibc's heap trimming")
-@pytest.mark.parametrize("t, factor, hss, doolittle", [(256, 1.2, 2000, 2000), (1024, 1.5, 8000, 60000)])
+@pytest.mark.parametrize("t, factor, hss, doolittle", [(256, 1.2, 2000, 2000), (1024, 1.5, 8000, 8000)])
 def test_curves_do_not_fault_their_heap_pages_in_again_on_every_ratio(t, factor, hss, doolittle):
     # A block's temporaries freed at the top of the heap were once returned
     # to the OS and faulted in again on the next ratio: at t=256, hss and
     # doolittle took 9,000 to 14,000 minor faults each here, against about
     # 400 since the blocks were halved.  At t=1024, where grid arrays are
     # maps of their own and glibc's mmap threshold never rises, they took
-    # 55,000 and 92,000, against 3,300 and 31,000 since a curve holds the
-    # metric's last result until the next exists.  A fresh interpreter
-    # starts from a known heap.
+    # 55,000 and 92,000.  A curve that holds the metric's last result until
+    # the next exists brought them to 3,300 and 31,000, and a doolittle
+    # kernel with one block temporary fewer brought doolittle to 5,400.  A
+    # fresh interpreter starts from a known heap.
     faults = run_fresh(
         "import json, resource\n"
         "import cspace\n"

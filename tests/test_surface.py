@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import mmap
 import weakref
 
@@ -20,7 +22,7 @@ from cspace import (
     get_metric,
     list_metrics,
 )
-from cspace.surface import _distance, _matrix
+from cspace.surface import _matrix
 
 
 @pytest.mark.parametrize("t", [0, 1, -3])
@@ -199,6 +201,21 @@ def test_blocked_surface_equals_the_whole_grid_oracle(metric, t):
         assert np.array_equal(build_surface(metric, ratio, GridSpec(t)).values, whole_grid_values(metric, ratio, t))
 
 
+@pytest.mark.parametrize("t", [2, 181, 182, 255, 256, 300, 1000, 1024])
+def test_a_surface_evaluates_whole_row_blocks_of_at_most_2_15_cells_once_each(t):
+    metric = get_metric("f1")
+    cells = []
+
+    def fn(tpr, tnr, r):
+        cells.append(np.broadcast_shapes(tpr.shape, tnr.shape))
+        return metric.fn(tpr, tnr, r)
+
+    build_surface(dataclasses.replace(metric, fn=fn), 3.0, GridSpec(t))
+    assert len(cells) == math.ceil(t / max(1, 2**15 // t))
+    assert all(cols == t for _, cols in cells)
+    assert sum(rows * cols for rows, cols in cells) == t * t
+
+
 @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="matrices are mapped only where huge pages exist")
 def test_a_large_matrix_is_its_own_map_and_is_unmapped_with_its_last_array():
     # 8 * 724**2 bytes is just under _MAPPED_BYTES (4 MiB), 8 * 725**2 just over.
@@ -226,20 +243,20 @@ def test_rescale_maps_recall_identically():
 
 def test_surface_delta_of_identical_surfaces_is_zero():
     surf = build_surface(get_metric("f1"), 5.0, GridSpec(16))
-    delta = _distance(surf.values, surf.values)
+    delta = np.abs(surf.values - surf.values)
     assert np.all(delta == 0.0)
 
 
 def test_surface_delta_recall_is_ratio_invariant():
     a = build_surface(get_metric("recall"), 1.0, GridSpec(64))
     b = build_surface(get_metric("recall"), 49.0, GridSpec(64))
-    assert np.all(_distance(a.values, b.values) == 0.0)
+    assert np.all(np.abs(a.values - b.values) == 0.0)
 
 
 def test_surface_delta_precision_is_ratio_sensitive():
     a = build_surface(get_metric("precision"), 1.0, GridSpec(64))
     b = build_surface(get_metric("precision"), 49.0, GridSpec(64))
-    assert _distance(a.values, b.values).max() > 0.0
+    assert np.abs(a.values - b.values).max() > 0.0
 
 
 @pytest.mark.parametrize("metric", list_metrics(), ids=lambda m: m.id)
