@@ -225,7 +225,9 @@ def _cmd_compare(args: argparse.Namespace) -> _Output:
     plotted = set(schedule.ratios) if args.svg is not None else set()
     both = RatioSchedule(tuple(sorted(plotted | {args.ratio})))
     grid = _grid(args.t, len(both))
-    svg = None if args.svg is None else _target("--svg", args.svg, _out_dir(args))
+    # --out-dir is checked whenever it is given; $CSPACE_OUT_DIR only when a file is written.
+    out_dir = _out_dir(args) if args.out_dir or args.svg is not None else None
+    svg = None if args.svg is None else _target("--svg", args.svg, out_dir)
     curves = [sensitivity_curve(m, both, grid) for m in metrics]
     rows = sorted(
         ((dict(c.samples)[args.ratio], c.metric_id) for c in curves),
@@ -378,7 +380,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         _trim_heap()
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

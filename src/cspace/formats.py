@@ -87,6 +87,7 @@ def surface_values_from_csv(text: str) -> np.ndarray:
     t = math.isqrt(len(values))
     if t * t != len(values):
         raise CspaceError(f"surface CSV must have a square number of data rows, got {len(values)}")
+    GridSpec(t)  # the grid-size rule (t >= 2) that the JSON reader applies too
     return values.reshape(t, t)
 
 

@@ -117,18 +117,16 @@ DEFAULT_AGNOSTIC_SCHEDULE = RatioSchedule((2.0, 5.0, 10.0, 49.0, 100.0, 1000.0))
 
 @dataclass(frozen=True)
 class SensitivityCurve:
-    """Sampled (ratio, sensitivity) pairs for one metric."""
+    """Sampled (ratio, sensitivity) pairs for one metric; the ratios follow
+    RatioSchedule's rule (at least one, strictly increasing)."""
 
     metric_id: str
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         samples = tuple((_real("curve ratio", r), _real("sensitivity", s)) for r, s in self.samples)
-        for (ra, _), (rb, _) in zip(samples, samples[1:]):
-            if rb < ra:
-                raise CspaceError(f"curve samples must be sorted ascending by ratio, got {ra} then {rb}")
+        RatioSchedule(tuple(r for r, _ in samples))
         for r, s in samples:
-            check_ratio(r)
             if not (0.0 <= s <= 1.0):
                 raise CspaceError(f"sensitivity must lie in [0, 1], got {s!r} at r={r!r}")
             if r == 1.0 and s != 0.0:
@@ -279,23 +277,18 @@ _GROWTH_SLACK = 1e-12
 def log_growth_check(curve: SensitivityCurve) -> GrowthReport:
     """Diagnose whether a curve grows like log r.
 
-    Uses the samples at r >= 1; requires at least three distinct ratios there
-    (CspaceError otherwise).
+    Uses the samples at r >= 1, whose ratios are distinct and ascending as
+    in every curve; requires at least three of them (CspaceError otherwise).
     """
-    seen: dict[float, float] = {}
-    for r, s in curve.samples:
-        if r >= 1.0 and r not in seen:
-            seen[r] = s
-    if len(seen) < 3:
+    samples = [(r, s) for r, s in curve.samples if r >= 1.0]
+    if len(samples) < 3:
         raise CspaceError(
-            f"log-growth diagnosis needs >= 3 distinct samples at r >= 1, got {len(seen)}"
+            f"log-growth diagnosis needs >= 3 distinct samples at r >= 1, got {len(samples)}"
         )
-    rs = sorted(seen)
-    ss = [seen[r] for r in rs]
+    ss = [s for _, s in samples]
     monotone = all(b >= a - _GROWTH_SLACK for a, b in zip(ss, ss[1:]))
     slopes = tuple(
-        (sb - sa) / (math.log(rb) - math.log(ra))
-        for (ra, sa), (rb, sb) in zip(zip(rs, ss), zip(rs[1:], ss[1:]))
+        (sb - sa) / (math.log(rb) - math.log(ra)) for (ra, sa), (rb, sb) in zip(samples, samples[1:])
     )
     concave = all(b <= a + _GROWTH_SLACK for a, b in zip(slopes, slopes[1:]))
     return GrowthReport(monotone=monotone, concave=concave, log_slopes=slopes)

@@ -399,6 +399,11 @@ TAKEN_TARGETS = {
         ("compare", "--metrics", "f1,precision", "--ratio", "2", "--t", "4", "--svg", "F/c.svg"),
         "--svg",
     ),
+    "compare-out-dir-is-a-file": (
+        "F",
+        ("compare", "--metrics", "f1,tss", "--ratio", "2", "--t", "4", "--out-dir", "{tmp}/F"),
+        "--out-dir",
+    ),
 }
 
 

@@ -159,6 +159,7 @@ HEADER = "tnr,tpr,value\n"
         HEADER + "0.25,0.25,0.5\n0.75,0.25,0.5,0.5\n0.25,0.75,0.5\n0.75,0.75,0.5\n",
         HEADER + "0.25,0.25,abc\n",
         HEADER + "0.25,0.25,0.5\n0.75,0.25,0.5\n0.25,0.75,\n0.75,0.75,0.5\n",
+        HEADER + "0.5,0.5,0.3\n",
     ],
     ids=[
         "empty",
@@ -173,6 +174,7 @@ HEADER = "tnr,tpr,value\n"
         "4-fields-mid",
         "non-numeric",
         "empty-value",
+        "1x1",
     ],
 )
 def test_surface_csv_parser_raises_value_error(text):

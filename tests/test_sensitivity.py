@@ -250,6 +250,10 @@ def test_single_entry_curve():
 def test_curve_type_invariants():
     with pytest.raises(ValueError):
         SensitivityCurve("x", ((2.0, 0.5), (1.5, 0.1)))  # not ascending
+    with pytest.raises(CspaceError):
+        SensitivityCurve("x", ())  # empty
+    with pytest.raises(CspaceError):
+        SensitivityCurve("x", ((2.0, 0.1), (2.0, 0.2)))  # two values at one ratio
     with pytest.raises(ValueError):
         SensitivityCurve("x", ((2.0, 1.5),))  # s out of [0, 1]
     with pytest.raises(ValueError):
@@ -351,9 +355,10 @@ def test_constant_zero_curve_is_trivially_logarithmic_like():
 
 
 def test_growth_check_needs_three_distinct_ratios():
-    repeated = SensitivityCurve("x", ((4.0, 0.125), (4.0, 0.125), (4.0, 0.125)))
+    # A curve's ratios are distinct, so a repeated ratio is refused when the
+    # curve is built, before any growth check.
     with pytest.raises(CspaceError):
-        log_growth_check(repeated)
+        SensitivityCurve("x", ((4.0, 0.125), (4.0, 0.125), (4.0, 0.125)))
     short = sensitivity_curve(get_metric("f1"), RatioSchedule((1.0, 2.0)), GridSpec(8))
     with pytest.raises(CspaceError):
         log_growth_check(short)
